@@ -117,6 +117,16 @@ def _cmd_verify(args):
     return 1 if failed else 0
 
 
+def _worker_count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="aggroupoids",
@@ -146,13 +156,13 @@ def _parser():
     p.add_argument("--census-only", action="store_true", help="print only the count")
     p.add_argument("--labeled", action="store_true", help="do not fold isomorphs")
     p.add_argument("--strategy", choices=("filter", "synthesis"))
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_worker_count)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the theorem checks")
     p.add_argument("--order", type=int, default=3, help="largest table order")
     p.add_argument("--only", help="run a single check id")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_worker_count)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

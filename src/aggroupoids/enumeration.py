@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -284,9 +285,19 @@ def _search_tables(n, laws, prefill=None, column_distinct=False, workers=None):
 
     expand(0)
     tasks = [(n, laws, snap, free, depth, column_distinct) for snap in prefixes]
-    with multiprocessing.Pool(workers) as pool:
-        chunks = pool.map(_subtree_task, tasks)
+    size = _pool_size(workers, len(tasks))
+    if size <= 1:
+        chunks = map(_subtree_task, tasks)
+    else:
+        with multiprocessing.Pool(size) as pool:
+            chunks = pool.map(_subtree_task, tasks)
     return [table for chunk in chunks for table in chunk]
+
+
+def _pool_size(workers, tasks):
+    """Worker processes to start: no more than asked for, than there are
+    tasks, or than the machine has CPUs."""
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def _has_left_identity(table, n):

@@ -411,12 +411,13 @@ def parse_strong_semilattice(text: str) -> StrongSemilattice:
     if set(component_blocks) != set(y.names):
         raise ParseError("component sections do not match the index elements")
     components = tuple(component_blocks[name] for name in y.names)
+    for alpha_name, beta_name in map_blocks:
+        if alpha_name not in y.names or beta_name not in y.names:
+            raise ParseError(f"map section references unknown index {alpha_name} {beta_name}")
     maps = []
     for (alpha_name, beta_name), body in sorted(
         map_blocks.items(), key=lambda kv: (y.index(kv[0][0]), y.index(kv[0][1]))
     ):
-        if alpha_name not in y.names or beta_name not in y.names:
-            raise ParseError(f"map section references unknown index {alpha_name} {beta_name}")
         alpha, beta = y.index(alpha_name), y.index(beta_name)
         source, target = components[alpha], components[beta]
         images = [-1] * source.order

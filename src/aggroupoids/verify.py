@@ -243,9 +243,12 @@ def _(ctx):
     def one(g):
         if not idempotents(g):
             return None
-        try:
-            _magma.idempotent_semilattice(g)
-        except AssertionError:
+        sub = _magma.idempotent_semilattice(g)
+        if not (
+            _magma.is_commutative(sub)
+            and _magma.is_associative(sub)
+            and _magma.is_idempotent_table(sub)
+        ):
             return _bad(g, "idempotent part is not a semilattice")
         return None
 

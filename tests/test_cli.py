@@ -120,6 +120,17 @@ def test_enumerate_rejects_unknown_class():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--order", "2", "--class", "ag"], ["verify", "--order", "1"]]
+)
+def test_bad_worker_counts_are_rejected(argv, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_verify_ok_lines():
     code, out, _ = run(["verify", "--order", "1"])
     assert code == 0
@@ -155,6 +166,15 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
     assert out == ""
     assert "line" in err and "error:" in err
+
+
+def test_unicode_digit_count_exit_code(tmp_path):
+    bad = tmp_path / "super.mag"
+    bad.write_text("²\na\na\n", encoding="utf-8")
+    code, out, err = run(["analyze", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "element count" in err
 
 
 def test_missing_file_exit_code(tmp_path):

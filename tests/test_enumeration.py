@@ -12,7 +12,7 @@ from aggroupoids import (
     classify,
     enumerate_groupoids,
 )
-from aggroupoids.enumeration import canonical_table
+from aggroupoids.enumeration import _pool_size, canonical_table
 from aggroupoids.errors import AlgebraError, BoundExceeded
 from aggroupoids.magma import Groupoid
 from aggroupoids.samples import cyclic_group, inverse_monoid4
@@ -90,6 +90,16 @@ def test_enumerated_tables_satisfy_their_class():
 def test_workers_do_not_change_the_output():
     spec = EnumerationSpec(3, "ag")
     assert enumerate_groupoids(spec) == enumerate_groupoids(spec, workers=2)
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_size(1000, 36) == 4
+    assert _pool_size(3, 36) == 3
+    assert _pool_size(8, 2) == 2
+    assert _pool_size(8, 0) == 0
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(8, 36) == 1
 
 
 def test_stream_is_sorted_canonically():

@@ -1,5 +1,10 @@
 """Carrier type, law checks, classification, and the .mag format."""
 
+import io
+import itertools
+import re
+import tokenize
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +15,7 @@ from aggroupoids import (
     format_mag,
     idempotents,
     inverses_of,
+    magma,
     parse_mag,
 )
 from aggroupoids.errors import (
@@ -18,8 +24,10 @@ from aggroupoids.errors import (
     NotCompletelyInverse,
     ParseError,
 )
+from aggroupoids.enumeration import EnumerationSpec, enumerate_groupoids
 from aggroupoids.magma import (
     ag_group_left_identity,
+    check_identity,
     idempotent_semilattice,
     is_ag,
     is_ag_star_star,
@@ -98,6 +106,7 @@ def test_format_parse_is_identity(data):
     "text, fragment",
     [
         ("zero\n", "got 'zero'"),
+        ("²\na\na\n", "got '²'"),
         ("2\na b\na a\n", "table rows"),
         ("2\na b\na a c\na a\n", "entries"),
         ("2\na a\na a\na a\n", "duplicate label 'a'"),
@@ -211,3 +220,79 @@ def test_sample_classifications():
     assert classify(cyclic_group(4)).is_ag_group
     assert classify(chain_semilattice(3)).is_ag_semilattice
     assert classify(vee_semilattice()).is_ag_semilattice
+
+
+NAMED_LAWS = (
+    magma.LEFT_INVERTIVE,
+    magma.SWAP_LAW,
+    magma.MEDIAL,
+    magma.PARAMEDIAL,
+    magma.COMMUTATIVE,
+    magma.ASSOCIATIVE,
+)
+
+# Variable names that are not Python identifiers: check_identity must
+# never place a caller's name in the source it compiles.
+VARIABLE_NAMES = ("x", "y", "x y", "1")
+
+
+def _term_variables(term):
+    if isinstance(term, str):
+        return {term}
+    return _term_variables(term[0]) | _term_variables(term[1])
+
+
+def _evaluate(table, term, env):
+    if isinstance(term, str):
+        return env[term]
+    return table[_evaluate(table, term[0], env)][_evaluate(table, term[1], env)]
+
+
+def reference_check_identity(g, lhs, rhs):
+    """The interpreter the compiled check_identity replaced."""
+    variables = sorted(_term_variables(lhs) | _term_variables(rhs))
+    for values in itertools.product(g.elements, repeat=len(variables)):
+        env = dict(zip(variables, values))
+        if _evaluate(g.table, lhs, env) != _evaluate(g.table, rhs, env):
+            return False
+    return True
+
+
+def terms(depth=3):
+    leaf = st.sampled_from(VARIABLE_NAMES)
+    if depth == 0:
+        return leaf
+    sub = terms(depth - 1)
+    return st.one_of(leaf, st.tuples(sub, sub))
+
+
+@given(tables(max_order=5), terms(), terms())
+def test_check_identity_matches_the_reference(data, lhs, rhs):
+    n, rows = data
+    g = Groupoid(tuple(str(i) for i in range(n)), tuple(map(tuple, rows)))
+    assert check_identity(g, lhs, rhs) == reference_check_identity(g, lhs, rhs)
+    assert check_identity(g, lhs, lhs)
+    for law in NAMED_LAWS:
+        assert check_identity(g, *law) == reference_check_identity(g, *law)
+
+
+def test_check_identity_matches_the_reference_on_ag_tables(f1, f2, collapse):
+    # random tables almost never satisfy a law, so also compare where they do
+    carriers = [f1, f2, collapse, *enumerate_groupoids(EnumerationSpec(3, "ag"))]
+    satisfied = 0
+    for g in carriers:
+        for law in NAMED_LAWS:
+            expected = reference_check_identity(g, *law)
+            assert check_identity(g, *law) == expected
+            satisfied += expected
+    assert satisfied > len(carriers)
+
+
+def test_identity_source_uses_only_generated_names():
+    lhs = (("x y", "1"), ("1", "x y"))
+    rhs = ("x y", ("__import__", "1"))
+    source = magma._identity_source(lhs, rhs)
+    allowed = re.compile(r"r?[vt]\d+|def|check|T|E|for|in|if|return|False|True")
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert allowed.fullmatch(tok.string), tok.string

@@ -87,6 +87,12 @@ def test_parse_structure_rejects_missing_sections():
         parse_strong_semilattice("[Y]\n1\ny\ny\n")
 
 
+def test_parse_structure_rejects_a_map_to_an_unknown_index(f1):
+    text = format_strong_semilattice(decompose(f1)) + "[map e z]\na -> a\n"
+    with pytest.raises(ParseError, match="map section references unknown index e z"):
+        parse_strong_semilattice(text)
+
+
 def test_natural_order_on_the_running_example(f1):
     order = natural_order(f1)
     assert sorted(order.pairs) == [

@@ -1,5 +1,10 @@
 """The theorem-check registry and its mutation-detection behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from aggroupoids import canonical, verify
@@ -35,6 +40,23 @@ def test_small_bound_passes_everything():
 
 def test_workers_do_not_change_the_report():
     assert verify.run_all(bound=2) == verify.run_all(bound=2, workers=2)
+
+
+def test_battery_passes_under_optimize_flag():
+    # -O strips assert statements, so no check may depend on one firing
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "aggroupoids.cli", "verify", "--order", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(verify.checks())
+    assert all(line.startswith("ok thm-") for line in lines)
 
 
 def test_only_selects_a_single_check():
