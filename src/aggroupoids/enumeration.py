@@ -7,8 +7,20 @@ completely inverse class has a second, independent generator that builds
 strong semilattices of AG-groups and composes them; the two censuses
 must agree wherever both run, and tests pin that agreement.
 
+The search breaks relabeling symmetry with the least-number heuristic
+of SEM-style model finders (J. Zhang and H. Zhang, "SEM: a system for
+enumerating models", IJCAI 1995; Distler, Shah and Sorge use it for
+AG-groupoids in "Enumeration of AG-groupoids", CICM 2011). Cells are
+filled in order of their larger index, and a cell tries only the
+elements already mentioned (as a row, a column or a value of a cell the
+search filled) plus the least unmentioned one: the unmentioned elements
+are interchangeable, so any other choice leads to a relabeling of a
+table that is still reached. The search thus yields at least one table
+of every isomorphism class rather than every labeled table.
+
 Tables enumerate up to isomorphism by default: each found table is
-replaced by the least relabeling and deduplicated.
+replaced by the least relabeling and deduplicated. Labeled enumeration
+lists every relabeling of each class representative.
 """
 
 from __future__ import annotations
@@ -49,10 +61,10 @@ class EnumerationSpec:
             raise AlgebraError(f"unknown class {self.class_filter!r}")
 
 
-def canonical_table(table) -> tuple:
-    """Least relabeling of a table; equal exactly on isomorphic inputs."""
+def _relabelings(table):
+    """The table relabeled by each permutation of its elements, with
+    repeats when it has automorphisms."""
     n = len(table)
-    best = None
     for perm in itertools.permutations(range(n)):
         relabeled = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -60,10 +72,12 @@ def canonical_table(table) -> tuple:
             target = relabeled[perm[i]]
             for j in range(n):
                 target[perm[j]] = perm[row[j]]
-        flat = tuple(tuple(row) for row in relabeled)
-        if best is None or flat < best:
-            best = flat
-    return best
+        yield tuple(tuple(row) for row in relabeled)
+
+
+def canonical_table(table) -> tuple:
+    """Least relabeling of a table; equal exactly on isomorphic inputs."""
+    return min(_relabelings(table))
 
 
 def canonical_form(g: Groupoid) -> tuple:
@@ -238,53 +252,60 @@ def _assign(T, n, pos, v, checks, column_distinct):
     return True
 
 
-def _complete(T, n, free, start, checks, column_distinct, out):
-    if start == len(free):
-        out.append(tuple(T))
+def _complete(T, n, free, start, stop, m, checks, column_distinct, out):
+    """Fill free[start:stop] and record each (table, m) reached.
+
+    m is the largest element mentioned by the cells filled so far: their
+    rows, columns and values. Prefilled cells do not count; every prefill
+    in use (an idempotent diagonal, an identity row 0) is fixed by each
+    permutation fixing 0, and m >= 0 once a cell is filled.
+    """
+    if start == stop:
+        out.append((tuple(T), m))
         return
     pos = free[start]
-    for v in range(n):
+    m = max(m, *divmod(pos, n))
+    for v in range(min(n, m + 2)):
         if _assign(T, n, pos, v, checks, column_distinct):
-            _complete(T, n, free, start + 1, checks, column_distinct, out)
+            _complete(T, n, free, start + 1, stop, max(m, v), checks, column_distinct, out)
             T[pos] = -1
 
 
 def _subtree_task(args):
-    n, laws, snapshot, free, start, column_distinct = args
+    n, laws, snapshot, m, free, start, column_distinct = args
     checks = tuple(_LAW_CHECKS[name] for name in laws)
     out = []
-    _complete(list(snapshot), n, free, start, checks, column_distinct, out)
-    return out
+    _complete(list(snapshot), n, free, start, len(free), m, checks, column_distinct, out)
+    return [table for table, _ in out]
 
 
 def _search_tables(n, laws, prefill=None, column_distinct=False, workers=None):
-    """All complete tables satisfying the given laws, in fill order."""
+    """Tables satisfying the given laws: at least one of each isomorphism
+    class, not every labeled table.
+
+    Cells are filled in order of (larger index, position), each trying
+    only the values 0..m+1 (see _complete). This is sound because the
+    laws and the distinct-column condition survive every relabeling and
+    the prefill survives every relabeling that fixes 0. The order of the
+    result is deterministic and independent of the worker count.
+    """
     checks = tuple(_LAW_CHECKS[name] for name in laws)
     T = [-1] * (n * n)
     for pos in sorted(prefill or ()):
         if not _assign(T, n, pos, prefill[pos], checks, column_distinct):
             return []
-    free = [p for p in range(n * n) if T[p] < 0]
-    if not workers or workers <= 1 or len(free) < 3:
-        out = []
-        _complete(T, n, free, 0, checks, column_distinct, out)
-        return out
-    # split the tree at a fixed depth; tasks stay deterministic in order
-    depth = 2
+    free = sorted(
+        (p for p in range(n * n) if T[p] < 0), key=lambda p: (max(divmod(p, n)), p)
+    )
+    if workers and workers > 1 and len(free) >= 3:
+        depth = 2  # split the tree here; each task carries its own m
+    else:
+        depth = len(free)
     prefixes = []
-
-    def expand(start):
-        if start == depth:
-            prefixes.append(tuple(T))
-            return
-        pos = free[start]
-        for v in range(n):
-            if _assign(T, n, pos, v, checks, column_distinct):
-                expand(start + 1)
-                T[pos] = -1
-
-    expand(0)
-    tasks = [(n, laws, snap, free, depth, column_distinct) for snap in prefixes]
+    _complete(T, n, free, 0, depth, -1, checks, column_distinct, prefixes)
+    if depth == len(free):
+        return [table for table, _ in prefixes]
+    tasks = [(n, laws, snap, m, free, depth, column_distinct) for snap, m in prefixes]
     size = _pool_size(workers, len(tasks))
     if size <= 1:
         chunks = map(_subtree_task, tasks)
@@ -300,44 +321,30 @@ def _pool_size(workers, tasks):
     return min(workers, tasks, os.cpu_count() or 1)
 
 
-def _has_left_identity(table, n):
-    return any(
-        all(table[e * n + x] == x for x in range(n)) for e in range(n)
-    )
+def _rows(flat, n) -> tuple:
+    return tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
 
 
 def _groupoid_from_flat(flat, n) -> Groupoid:
-    names = tuple(str(i) for i in range(n))
-    table = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-    return Groupoid(names, table)
+    return Groupoid(tuple(str(i) for i in range(n)), _rows(flat, n))
 
 
-def _labeled_tables(n, class_filter, workers):
+def _searched_tables(n, class_filter, workers):
+    """Search output for a class without a dedicated generator."""
     if class_filter == "ag":
-        found = _search_tables(n, ("left-invertive",), workers=workers)
-    elif class_filter == "ag-star-star":
-        found = _search_tables(n, ("left-invertive", "swap"), workers=workers)
-    elif class_filter == "ag-band":
+        return _search_tables(n, ("left-invertive",), workers=workers)
+    if class_filter == "ag-star-star":
+        return _search_tables(n, ("left-invertive", "swap"), workers=workers)
+    if class_filter == "ag-band":
         prefill = {i * n + i: i for i in range(n)}
-        found = _search_tables(n, ("left-invertive",), prefill, workers=workers)
-    elif class_filter == "ag-group":
-        found = [
-            t
-            for t in _search_tables(
-                n, ("left-invertive", "swap"), column_distinct=True, workers=workers
-            )
-            if _has_left_identity(t, n)
-        ]
-        assert all(classify(_groupoid_from_flat(t, n)).is_ag_group for t in found)
-    elif class_filter == "completely-inverse":
-        found = [
+        return _search_tables(n, ("left-invertive",), prefill, workers=workers)
+    if class_filter == "completely-inverse":
+        return [
             t
             for t in _search_tables(n, ("left-invertive", "swap"), workers=workers)
             if classify(_groupoid_from_flat(t, n)).is_completely_inverse
         ]
-    else:
-        raise AlgebraError(f"unknown class {class_filter!r}")
-    return found
+    raise AlgebraError(f"unknown class {class_filter!r}")
 
 
 @lru_cache(maxsize=None)
@@ -349,12 +356,7 @@ def _ag_group_reps(n) -> tuple:
     """
     prefill = {j: j for j in range(n)}
     found = _search_tables(n, ("left-invertive", "swap"), prefill, column_distinct=True)
-    reps = set()
-    for t in found:
-        g = _groupoid_from_flat(t, n)
-        assert classify(g).is_ag_group
-        reps.add(canonical_table(g.table))
-    return tuple(sorted(reps))
+    return tuple(sorted({canonical_table(_rows(t, n)) for t in found}))
 
 
 @lru_cache(maxsize=None)
@@ -362,9 +364,7 @@ def _semilattice_reps(n) -> tuple:
     """Canonical tables of the semilattices of one order."""
     prefill = {i * n + i: i for i in range(n)}
     found = _search_tables(n, ("commutative", "associative"), prefill)
-    return tuple(sorted({canonical_table(
-        tuple(tuple(t[i * n + j] for j in range(n)) for i in range(n))
-    ) for t in found}))
+    return tuple(sorted({canonical_table(_rows(t, n)) for t in found}))
 
 
 @lru_cache(maxsize=None)
@@ -502,25 +502,16 @@ def enumerate_groupoids(spec: EnumerationSpec, strategy=None, workers=None) -> t
         )
     n = spec.order
     if spec.class_filter == "completely-inverse" and strategy == "synthesis":
-        tables = _synthesized_tables(n)
-    elif spec.class_filter == "ag-group" and spec.up_to_isomorphism:
-        tables = _ag_group_reps(n)
+        reps = _synthesized_tables(n)
+    elif spec.class_filter == "ag-group":
+        reps = _ag_group_reps(n)
     else:
-        found = _labeled_tables(n, spec.class_filter, workers)
-        if spec.up_to_isomorphism:
-            tables = sorted(
-                {
-                    canonical_table(
-                        tuple(tuple(t[i * n + j] for j in range(n)) for i in range(n))
-                    )
-                    for t in found
-                }
-            )
-        else:
-            tables = [
-                tuple(tuple(t[i * n + j] for j in range(n)) for i in range(n))
-                for t in sorted(set(found))
-            ]
+        found = _searched_tables(n, spec.class_filter, workers)
+        reps = sorted({canonical_table(_rows(t, n)) for t in found})
+    if spec.up_to_isomorphism:
+        tables = reps
+    else:
+        tables = sorted({t for rep in reps for t in _relabelings(rep)})
     names = tuple(str(i) for i in range(n))
     return tuple(Groupoid(names, table) for table in tables)
 

@@ -11,7 +11,7 @@ its variables, and caches the result; the orders this library targets
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -55,6 +55,8 @@ class Groupoid:
 
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
+    # built once: law scans read it in their innermost loops
+    elements: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.names)
@@ -72,14 +74,11 @@ class Groupoid:
             for value in row:
                 if not isinstance(value, int) or not 0 <= value < n:
                     raise AlgebraError(f"table entry {value!r} out of range")
+        object.__setattr__(self, "elements", range(n))
 
     @property
     def order(self) -> int:
         return len(self.names)
-
-    @property
-    def elements(self) -> range:
-        return range(len(self.names))
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -324,8 +323,8 @@ class ClassificationReport:
 
     def items(self) -> Iterator[tuple[str, bool]]:
         """(kebab-case flag name, value) pairs in declaration order."""
-        for field in self.__dataclass_fields__:
-            yield field[3:].replace("_", "-"), getattr(self, field)
+        for name in self.__dataclass_fields__:
+            yield name[3:].replace("_", "-"), getattr(self, name)
 
 
 def classify(g: Groupoid) -> ClassificationReport:

@@ -1801,7 +1801,8 @@ def run_all(bound: int = 3, only=None, workers=None) -> tuple[CheckResult, ...]:
 
     Universes are enumerated once per run and shared; the worker count
     only parallelizes the underlying table searches, so reports are
-    identical for any worker count.
+    identical for any worker count. A check that raises is reported as
+    failed, with the exception type and message as its detail.
     """
     if bound < 1 or bound > 4:
         raise BoundExceeded("verification runs at orders 1 through 4")
@@ -1813,6 +1814,9 @@ def run_all(bound: int = 3, only=None, workers=None) -> tuple[CheckResult, ...]:
     ctx = _Context(bound, workers)
     results = []
     for tc, fn in selected:
-        passed, instances, detail = fn(ctx)
+        try:
+            passed, instances, detail = fn(ctx)
+        except Exception as exc:
+            passed, instances, detail = False, 0, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(tc.check_id, passed, instances, detail))
     return tuple(results)

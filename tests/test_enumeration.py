@@ -80,11 +80,23 @@ def test_dual_strategies_agree():
         assert census(spec, strategy="filter") == census(spec, strategy="synthesis")
 
 
+CLASS_FLAG = {
+    "ag": "is_ag",
+    "ag-star-star": "is_ag_star_star",
+    "ag-band": "is_ag_band",
+    "ag-group": "is_ag_group",
+    "completely-inverse": "is_completely_inverse",
+}
+
+
 def test_enumerated_tables_satisfy_their_class():
-    for g in enumerate_groupoids(EnumerationSpec(3, "completely-inverse")):
-        assert classify(g).is_completely_inverse
-    for g in enumerate_groupoids(EnumerationSpec(3, "ag-band")):
-        assert classify(g).is_ag and all(g.mul(a, a) == a for a in g.elements)
+    for class_filter, flag in CLASS_FLAG.items():
+        top = 5 if class_filter in ("ag-group", "completely-inverse") else 4
+        for n in range(1, top + 1):
+            members = enumerate_groupoids(EnumerationSpec(n, class_filter))
+            assert members
+            for g in members:
+                assert getattr(classify(g), flag), (class_filter, n, g.table)
 
 
 def test_workers_do_not_change_the_output():

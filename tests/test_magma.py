@@ -75,6 +75,14 @@ def test_groupoid_rejects_duplicate_names():
         Groupoid(("x", "x"), ((0, 0), (0, 0)))
 
 
+def test_elements_are_built_once_and_stay_out_of_identity(f1):
+    assert f1.elements is f1.elements
+    assert f1.elements == range(4)
+    copy = Groupoid(f1.names, f1.table)
+    assert copy == f1 and hash(copy) == hash(f1)
+    assert repr(f1) == f"Groupoid(names={f1.names!r}, table={f1.table!r})"
+
+
 def test_from_rows_and_index(f1):
     g = Groupoid.from_rows(
         ["a", "b", "e", "f"],

@@ -102,3 +102,26 @@ def test_corrupted_component_formula_is_detected(monkeypatch):
 def test_mutation_does_not_leak_between_runs():
     results = verify.run_all(bound=2, only="thm-mu-least-semilattice")
     assert results[0].passed
+
+
+def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch):
+    index = next(
+        i
+        for i, (tc, _) in enumerate(verify._REGISTRY)
+        if tc.check_id == "thm-mu-least-semilattice"
+    )
+    tc, _ = verify._REGISTRY[index]
+
+    def crashing(ctx):
+        raise ZeroDivisionError("boom")
+
+    registry = list(verify._REGISTRY)
+    registry[index] = (tc, crashing)
+    monkeypatch.setattr(verify, "_REGISTRY", registry)
+    results = verify.run_all(bound=2)
+    assert len(results) == len(verify.checks())
+    by_id = {r.check_id: r for r in results}
+    crashed = by_id.pop("thm-mu-least-semilattice")
+    assert not crashed.passed
+    assert crashed.detail == "ZeroDivisionError: boom"
+    assert all(r.passed for r in by_id.values())
