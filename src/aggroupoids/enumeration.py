@@ -13,10 +13,11 @@ enumerating models", IJCAI 1995; Distler, Shah and Sorge use it for
 AG-groupoids in "Enumeration of AG-groupoids", CICM 2011). Cells are
 filled in order of their larger index, and a cell tries only the
 elements already mentioned (as a row, a column or a value of a cell the
-search filled) plus the least unmentioned one: the unmentioned elements
-are interchangeable, so any other choice leads to a relabeling of a
-table that is still reached. The search thus yields at least one table
-of every isomorphism class rather than every labeled table.
+search filled or is filling) plus the least unmentioned one: the
+unmentioned elements are interchangeable, so any other choice leads to
+a relabeling of a table that is still reached. The search thus yields
+at least one table of every isomorphism class rather than every
+labeled table.
 
 Tables enumerate up to isomorphism by default: each found table is
 replaced by the least relabeling and deduplicated. Labeled enumeration

@@ -49,13 +49,19 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _element_range(n: int) -> range:
+    # one shared range per order keeps each carrier one pointer larger
+    return range(n)
+
+
 @dataclass(frozen=True)
 class Groupoid:
     """A finite magma: a tuple of element names and an index Cayley table."""
 
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
-    # built once: law scans read it in their innermost loops
+    # a plain attribute: law scans read it in their innermost loops
     elements: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,7 +80,7 @@ class Groupoid:
             for value in row:
                 if not isinstance(value, int) or not 0 <= value < n:
                     raise AlgebraError(f"table entry {value!r} out of range")
-        object.__setattr__(self, "elements", range(n))
+        object.__setattr__(self, "elements", _element_range(n))
 
     @property
     def order(self) -> int:
