@@ -6,6 +6,13 @@ markers, and the derived structure: trace and kernel classes (both are
 intervals), the trace homomorphism onto the idempotent semilattice's
 lattice, fundamental congruences, and the E-unitary families indexed by
 normal subgroupoids.
+
+The congruences are sorted by decreasing number of blocks, so no
+relation comes after one strictly above it. The order table compares
+related-pair bit masks, and the meet and join tables are read off the
+sort order with bit operations on index masks (see `all_congruences`),
+without building any relation. The quotient markers test only the laws
+they name.
 """
 
 from __future__ import annotations
@@ -17,12 +24,14 @@ from typing import Iterable, Iterator, Sequence
 from .errors import NotASublattice, OrderTooLarge
 from .magma import (
     Groupoid,
+    _ag_group_by_solutions,
     _is_e_unitary,
     classify,
     idempotents,
     is_associative,
     is_commutative,
     is_idempotent_table,
+    is_left_invertive,
     subgroupoid,
 )
 from .congruences import (
@@ -36,6 +45,8 @@ from .congruences import (
     trace,
 )
 from .canonical import (
+    _compose,
+    _ordered_pairs,
     ag_group_closure,
     kernel_max,
     kernel_min,
@@ -151,8 +162,6 @@ def _markers_for(c: Congruence, completely_inverse: bool) -> CongruenceMarkers:
         if set(block) & id_set
     )
     q = quotient(c).groupoid
-    report = classify(q)
-    semilattice = report.is_commutative and report.is_associative and is_idempotent_table(q)
     fundamental = None
     e_disjunctive = None
     if completely_inverse:
@@ -161,17 +170,37 @@ def _markers_for(c: Congruence, completely_inverse: bool) -> CongruenceMarkers:
     return CongruenceMarkers(
         idempotent_separating=separating,
         idempotent_pure=pure,
-        semilattice=semilattice,
-        ag_group=report.is_ag_group,
-        e_unitary=report.is_e_unitary,
+        semilattice=is_idempotent_table(q) and is_commutative(q) and is_associative(q),
+        ag_group=is_left_invertive(q) and _ag_group_by_solutions(q),
+        e_unitary=_is_e_unitary(q),
         fundamental=fundamental,
         e_disjunctive=e_disjunctive,
     )
 
 
+def _pair_mask(rel: EquivRelation) -> int:
+    """Bit a*n + b is set when a < b are related; containment of these
+    masks is refinement of the relations."""
+    return sum(1 << (a * rel.order + b) for a, b in rel.pairs())
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     """Filter every partition of the carrier; the default bound keeps
-    the scan at 203 partitions or fewer."""
+    the scan at 203 partitions or fewer.
+
+    Congruences are sorted by (-number of blocks, block_of): the
+    identity comes first, the universal relation last, and a congruence
+    strictly above another has fewer blocks and so a larger index. The
+    order table compares bit masks of related pairs. Every common upper
+    bound of i and j other than their join has fewer blocks than the
+    join, so the join is the lowest index among the common upper
+    bounds; dually, the meet is the highest index among the common
+    lower bounds. Both are read off index masks with bit operations.
+    """
     if g.order > bound:
         raise OrderTooLarge(
             f"order {g.order} exceeds the exhaustive-enumeration bound {bound}"
@@ -179,23 +208,16 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     rels = [rel for rel in iter_partitions(g.order) if is_congruence(g, rel)]
     rels.sort(key=lambda rel: (-rel.num_blocks, rel.block_of))
     congruences = tuple(Congruence(g, rel) for rel in rels)
-    index = {rel: i for i, rel in enumerate(rels)}
-    size = len(rels)
-    leq = tuple(
-        tuple(rels[i].leq(rels[j]) for j in range(size)) for i in range(size)
-    )
-    meet = tuple(
-        tuple(index[rels[i].meet(rels[j])] for j in range(size))
-        for i in range(size)
-    )
-    join = tuple(
-        tuple(index[rels[i].join(rels[j])] for j in range(size))
-        for i in range(size)
-    )
+    masks = [_pair_mask(rel) for rel in rels]
+    leq = tuple(tuple(p | q == q for q in masks) for p in masks)
+    up = [sum(1 << j for j, above in enumerate(row) if above) for row in leq]
+    down = [
+        sum(1 << i for i, row in enumerate(leq) if row[j]) for j in range(len(rels))
+    ]
+    meet = tuple(tuple((d & e).bit_length() - 1 for e in down) for d in down)
+    join = tuple(tuple(_lowest_bit(u & v) for v in up) for u in up)
     completely_inverse = classify(g).is_completely_inverse
     markers = tuple(_markers_for(c, completely_inverse) for c in congruences)
-    assert congruences[0].rel == EquivRelation.identity(g.order)
-    assert congruences[-1].rel == EquivRelation.universal(g.order)
     return LatticeReport(g, congruences, markers, leq, meet, join)
 
 
@@ -251,29 +273,13 @@ def satisfies_modular_law(report: LatticeReport, subset: Sequence[int]) -> bool:
     return True
 
 
-def _ordered_pairs(rel: EquivRelation) -> frozenset:
-    return frozenset(
-        (a, b)
-        for a in range(rel.order)
-        for b in range(rel.order)
-        if rel.related(a, b)
-    )
-
-
-def _compose_pairs(p: frozenset, q: frozenset) -> frozenset:
-    by_first: dict = {}
-    for b, c in q:
-        by_first.setdefault(b, []).append(c)
-    return frozenset((a, c) for a, b in p for c in by_first.get(b, ()))
-
-
 def commuting_check(report: LatticeReport, subset: Sequence[int]) -> bool:
     """Relational composition commutes for every pair in the subset."""
     members = _require_sublattice(report, subset)
     pair_sets = {i: _ordered_pairs(report.congruences[i].rel) for i in members}
     return all(
-        _compose_pairs(pair_sets[i], pair_sets[j])
-        == _compose_pairs(pair_sets[j], pair_sets[i])
+        _compose(pair_sets[i], pair_sets[j])
+        == _compose(pair_sets[j], pair_sets[i])
         for i in members
         for j in members
     )

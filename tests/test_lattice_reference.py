@@ -1,0 +1,148 @@
+"""The congruence lattice against relation-level references.
+
+`all_congruences` reads its order, meet and join tables off the sorted
+congruence list with bit operations, and its quotient markers test only
+the laws they name. Here the tables are rebuilt from `EquivRelation.leq`,
+`.meet` and `.join` and the partition scan, and the markers from a copy
+of the earlier `_markers_for`, which ran a full `classify` on every
+quotient. The universe is every `ag` class representative of order 1-4
+plus composed tables of order 5 and 6, one of them left invertive but
+not completely inverse.
+"""
+
+import itertools
+
+import pytest
+
+from aggroupoids import EnumerationSpec, all_congruences, classify, enumerate_groupoids
+from aggroupoids.canonical import kernel_max, trace_max
+from aggroupoids.congruences import EquivRelation, is_congruence, quotient
+from aggroupoids.lattice import CongruenceMarkers, iter_partitions
+from aggroupoids.magma import Groupoid, idempotents, is_idempotent_table
+from aggroupoids.samples import (
+    chain_semilattice,
+    cyclic_group,
+    subtraction_mod,
+    vee_semilattice,
+)
+from aggroupoids.structure import StrongSemilattice, compose
+
+
+def _reference_markers(c, completely_inverse):
+    """The markers as read off a full classification of the quotient."""
+    g = c.groupoid
+    ids = idempotents(g)
+    separating = all(
+        not c.related(e, f) for e, f in itertools.combinations(ids, 2)
+    )
+    id_set = set(ids)
+    pure = all(
+        set(block) <= id_set
+        for block in c.rel.blocks()
+        if set(block) & id_set
+    )
+    q = quotient(c).groupoid
+    report = classify(q)
+    semilattice = report.is_commutative and report.is_associative and is_idempotent_table(q)
+    fundamental = None
+    e_disjunctive = None
+    if completely_inverse:
+        fundamental = trace_max(c).rel == c.rel
+        e_disjunctive = kernel_max(c).rel == c.rel
+    return CongruenceMarkers(
+        idempotent_separating=separating,
+        idempotent_pure=pure,
+        semilattice=semilattice,
+        ag_group=report.is_ag_group,
+        e_unitary=report.is_e_unitary,
+        fundamental=fundamental,
+        e_disjunctive=e_disjunctive,
+    )
+
+
+def _relabel(g, prefix):
+    return Groupoid(tuple(prefix + name for name in g.names), g.table)
+
+
+def _strong(y, groups, down):
+    """Compose AG-groups over the semilattice y; down maps (i, j) with
+    i above j to the images of component i in component j."""
+    maps = [(i, i, tuple(range(g.order))) for i, g in enumerate(groups)]
+    maps += [(i, j, images) for (i, j), images in down.items()]
+    components = tuple(_relabel(g, f"c{i}_") for i, g in enumerate(groups))
+    return compose(StrongSemilattice(y, components, tuple(sorted(maps))))
+
+
+def _with_null_factor(g, k):
+    """Direct product with the k-element null table: left invertive
+    whenever g is, never completely inverse."""
+    names = tuple(f"{a}_{x}" for a in g.names for x in range(k))
+    return Groupoid.from_function(names, lambda p, q: g.table[p // k][q // k] * k)
+
+
+def _composed_tables():
+    two, three = cyclic_group(2), subtraction_mod(3)
+    return [
+        _strong(chain_semilattice(2), (two, three), {(1, 0): (0, 0, 0)}),
+        _strong(chain_semilattice(2), (two, cyclic_group(4)), {(1, 0): (0, 1, 0, 1)}),
+        _strong(chain_semilattice(2), (subtraction_mod(2), subtraction_mod(4)), {(1, 0): (0, 1, 0, 1)}),
+        _strong(chain_semilattice(2), (cyclic_group(1), subtraction_mod(5)), {(1, 0): (0,) * 5}),
+        _strong(
+            chain_semilattice(3),
+            (two, two, two),
+            {(1, 0): (0, 1), (2, 0): (0, 1), (2, 1): (0, 1)},
+        ),
+        _strong(
+            chain_semilattice(3),
+            (cyclic_group(1), two, three),
+            {(1, 0): (0, 0), (2, 0): (0, 0, 0), (2, 1): (0, 0, 0)},
+        ),
+        _strong(vee_semilattice(), (cyclic_group(1), two, two), {(1, 0): (0, 0), (2, 0): (0, 0)}),
+        _strong(vee_semilattice(), (cyclic_group(1), two, three), {(1, 0): (0, 0), (2, 0): (0, 0, 0)}),
+        _with_null_factor(three, 2),
+    ]
+
+
+UNIVERSES = ["ag-1", "ag-2", "ag-3", "ag-4", "composed"]
+
+
+def _universe(name):
+    if name == "composed":
+        return _composed_tables()
+    n = int(name.split("-")[1])
+    return enumerate_groupoids(EnumerationSpec(n, "ag"))
+
+
+def test_composed_tables_cover_orders_five_and_six():
+    tables = _composed_tables()
+    assert {g.order for g in tables} == {5, 6}
+    inverse = [classify(g).is_completely_inverse for g in tables]
+    assert inverse == [True] * (len(tables) - 1) + [False]
+    assert classify(tables[-1]).is_ag
+
+
+@pytest.mark.parametrize("universe", UNIVERSES)
+def test_tables_match_the_relation_oracle(universe):
+    for g in _universe(universe):
+        report = all_congruences(g)
+        rels = [c.rel for c in report.congruences]
+        scanned = [rel for rel in iter_partitions(g.order) if is_congruence(g, rel)]
+        assert len(rels) == len(scanned) and set(rels) == set(scanned)
+        assert rels[0] == EquivRelation.identity(g.order)
+        assert rels[-1] == EquivRelation.universal(g.order)
+        index = {rel: i for i, rel in enumerate(rels)}
+        for i, p in enumerate(rels):
+            for j, q in enumerate(rels):
+                assert report.leq[i][j] == p.leq(q)
+                assert report.meet[i][j] == index[p.meet(q)]
+                assert report.join[i][j] == index[p.join(q)]
+
+
+@pytest.mark.parametrize("universe", UNIVERSES)
+def test_markers_match_the_classify_reference(universe):
+    for g in _universe(universe):
+        report = all_congruences(g)
+        completely_inverse = classify(g).is_completely_inverse
+        assert report.markers == tuple(
+            _reference_markers(c, completely_inverse) for c in report.congruences
+        )
