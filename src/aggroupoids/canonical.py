@@ -8,8 +8,9 @@ trace and kernel operators: every congruence's trace class and kernel
 class are intervals, and the four functions computing their endpoints
 live here as well.
 
-Each formula's theorem-guaranteed postconditions are asserted inline;
-extremality against the full congruence lattice is checked in tests.
+The theorems behind each formula, its extremality against the full
+congruence lattice included, are checked by the verify battery, not
+here.
 """
 
 from __future__ import annotations
@@ -20,20 +21,16 @@ from .errors import NotEUnitary
 from .congruences import (
     Congruence,
     EquivRelation,
+    _congruence_of_rule,
     congruence_meet,
     kernel,
     quotient,
     syntactic_congruence,
-    trace,
 )
 from .magma import (
     Groupoid,
     _is_e_unitary,
-    classify,
     idempotents,
-    is_associative,
-    is_commutative,
-    is_idempotent_table,
     require_completely_inverse,
 )
 
@@ -75,13 +72,6 @@ def _grouped_by_key(g: Groupoid, key) -> EquivRelation:
     return EquivRelation.from_blocks(g.order, grouped.values())
 
 
-def _from_raw_pairs(g: Groupoid, raw: set) -> Congruence:
-    # raw must already be an equivalence; from_pairs would silently close it
-    rel = EquivRelation.from_pairs(g.order, raw)
-    assert all((a, b) in raw for a, b in rel.pairs())
-    return Congruence(g, rel)
-
-
 def _ordered_pairs(rel: EquivRelation) -> frozenset:
     return frozenset(
         (a, b)
@@ -102,57 +92,35 @@ def max_idempotent_separating(g: Groupoid) -> Congruence:
     """Partition by the idempotent a*a^-1; also the least congruence
     with a semilattice quotient."""
     inverse = require_completely_inverse(g)
-    rel = _grouped_by_key(g, lambda a: g.table[a][inverse[a]])
-    result = Congruence(g, rel)
-    assert trace(result) == EquivRelation.identity(len(idempotents(g)))
-    q = quotient(result).groupoid
-    assert is_commutative(q) and is_associative(q) and is_idempotent_table(q)
-    return result
+    return Congruence(g, _grouped_by_key(g, lambda a: g.table[a][inverse[a]]))
 
 
 def least_ag_group_congruence(g: Groupoid) -> Congruence:
     """a ~ b iff some idempotent translates them to the same element."""
     require_completely_inverse(g)
     ids = idempotents(g)
-    raw = {
-        (a, b)
-        for a in g.elements
-        for b in g.elements
-        if any(g.table[e][a] == g.table[e][b] for e in ids)
-    }
-    result = _from_raw_pairs(g, raw)
-    assert classify(quotient(result).groupoid).is_ag_group
-    reachable = frozenset(
-        a for a in g.elements if any(g.table[e][a] in ids for e in ids)
+    return _congruence_of_rule(
+        g, lambda a, b: any(g.table[e][a] == g.table[e][b] for e in ids)
     )
-    assert kernel(result) == reachable
-    return result
 
 
 def max_idempotent_pure(g: Groupoid) -> Congruence:
     """Largest congruence whose idempotent classes are purely idempotent."""
     require_completely_inverse(g)
-    result = syntactic_congruence(g, idempotents(g))
-    assert result.rel.leq(least_ag_group_congruence(g).rel)
-    return result
+    return syntactic_congruence(g, idempotents(g))
 
 
 def least_e_unitary(g: Groupoid) -> Congruence:
-    result = congruence_meet(
+    return congruence_meet(
         least_ag_group_congruence(g), max_idempotent_separating(g)
     )
-    assert _is_e_unitary(quotient(result).groupoid)
-    return result
 
 
 def canonical_suite(g: Groupoid) -> CanonicalSuite:
     mu = max_idempotent_separating(g)
     sigma = least_ag_group_congruence(g)
     tau = max_idempotent_pure(g)
-    pi = congruence_meet(sigma, mu)
-    assert tau.rel.leq(sigma.rel)
-    assert (tau.rel == sigma.rel) == _is_e_unitary(g)
-    return CanonicalSuite(mu, sigma, tau, pi)
+    return CanonicalSuite(mu, sigma, tau, congruence_meet(sigma, mu))
 
 
 def trace_max(rho: Congruence) -> Congruence:
@@ -160,11 +128,9 @@ def trace_max(rho: Congruence) -> Congruence:
     a*a^-1 and b*b^-1 were already related."""
     g = rho.groupoid
     inverse = require_completely_inverse(g)
-    rel = _grouped_by_key(g, lambda a: rho.rel.block_of[g.table[a][inverse[a]]])
-    result = Congruence(g, rel)
-    assert trace(result) == trace(rho)
-    assert rho.rel.leq(result.rel)
-    return result
+    return Congruence(
+        g, _grouped_by_key(g, lambda a: rho.rel.block_of[g.table[a][inverse[a]]])
+    )
 
 
 def trace_min(rho: Congruence) -> Congruence:
@@ -183,29 +149,20 @@ def trace_min(rho: Congruence) -> Congruence:
             rho.related(e, ea) and g.table[e][a] == g.table[e][b] for e in ids
         )
 
-    raw = {(a, b) for a in g.elements for b in g.elements if related(a, b)}
-    result = _from_raw_pairs(g, raw)
-    assert trace(result) == trace(rho)
-    assert result.rel.leq(rho.rel)
-    return result
+    return _congruence_of_rule(g, related)
 
 
 def kernel_min(rho: Congruence) -> Congruence:
     """Smallest congruence with the same kernel: the meet with the
     maximum idempotent-separating congruence."""
-    result = congruence_meet(rho, max_idempotent_separating(rho.groupoid))
-    assert kernel(result) == kernel(rho)
-    return result
+    return congruence_meet(rho, max_idempotent_separating(rho.groupoid))
 
 
 def kernel_max(rho: Congruence) -> Congruence:
     """Largest congruence with the same kernel: the largest congruence
     saturating it. Maximality with respect to the kernel forces kernel
-    preservation, which the final assertion pins down."""
-    result = syntactic_congruence(rho.groupoid, kernel(rho))
-    assert kernel(result) == kernel(rho)
-    assert rho.rel.leq(result.rel)
-    return result
+    preservation, which thm-kernel-class-interval checks."""
+    return syntactic_congruence(rho.groupoid, kernel(rho))
 
 
 def ag_group_closure(rho: Congruence) -> Congruence:
@@ -214,50 +171,20 @@ def ag_group_closure(rho: Congruence) -> Congruence:
     g = rho.groupoid
     require_completely_inverse(g)
     ids = idempotents(g)
-    raw = {
-        (a, b)
-        for a in g.elements
-        for b in g.elements
-        if any(rho.related(g.table[e][a], g.table[e][b]) for e in ids)
-    }
-    result = _from_raw_pairs(g, raw)
-
-    sigma = least_ag_group_congruence(g)
-    assert result.rel == rho.rel.join(sigma.rel)
-    sandwich = _compose(
-        _compose(_ordered_pairs(sigma.rel), _ordered_pairs(rho.rel)),
-        _ordered_pairs(sigma.rel),
+    return _congruence_of_rule(
+        g, lambda a, b: any(rho.related(g.table[e][a], g.table[e][b]) for e in ids)
     )
-    assert sandwich == _ordered_pairs(result.rel)
-    ker_rho = kernel(rho)
-    upward = frozenset(
-        a for a in g.elements if any(g.table[e][a] in ker_rho for e in ids)
-    )
-    assert kernel(result) == upward
-    return result
 
 
 def semilattice_closure(rho: Congruence) -> Congruence:
     """Join with the maximum idempotent-separating congruence; this is
     the same relation trace_max computes."""
-    g = rho.groupoid
-    result = trace_max(rho)
-    mu = max_idempotent_separating(g)
-    assert result.rel == rho.rel.join(mu.rel)
-    sandwich = _compose(
-        _compose(_ordered_pairs(mu.rel), _ordered_pairs(rho.rel)),
-        _ordered_pairs(mu.rel),
-    )
-    assert sandwich == _ordered_pairs(result.rel)
-    return result
+    return trace_max(rho)
 
 
 def e_unitary_closure(rho: Congruence) -> Congruence:
     """Least congruence containing rho whose quotient is E-unitary."""
-    result = congruence_meet(ag_group_closure(rho), semilattice_closure(rho))
-    assert rho.rel.leq(result.rel)
-    assert _is_e_unitary(quotient(result).groupoid)
-    return result
+    return congruence_meet(ag_group_closure(rho), semilattice_closure(rho))
 
 
 def e_unitary_factorization(rho: Congruence) -> tuple[Congruence, Congruence]:
@@ -265,10 +192,4 @@ def e_unitary_factorization(rho: Congruence) -> tuple[Congruence, Congruence]:
     semilattice factors; their meet gives rho back."""
     if not _is_e_unitary(quotient(rho).groupoid):
         raise NotEUnitary("the quotient by this congruence is not E-unitary")
-    group_part = ag_group_closure(rho)
-    semilattice_part = semilattice_closure(rho)
-    assert congruence_meet(group_part, semilattice_part).rel == rho.rel
-    assert classify(quotient(group_part).groupoid).is_ag_group
-    q = quotient(semilattice_part).groupoid
-    assert is_commutative(q) and is_associative(q) and is_idempotent_table(q)
-    return group_part, semilattice_part
+    return ag_group_closure(rho), semilattice_closure(rho)

@@ -8,6 +8,7 @@ format; decompositions in the sectioned structure format.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .canonical import canonical_suite
@@ -127,7 +128,9 @@ def _worker_count(text):
     return value
 
 
+@functools.cache
 def _parser():
+    # built once per process: parse_args leaves the tree unchanged
     parser = argparse.ArgumentParser(
         prog="aggroupoids",
         description="analyze, decompose, and enumerate left invertive tables",

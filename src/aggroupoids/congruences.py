@@ -253,43 +253,25 @@ def is_congruence(g: Groupoid, rel: EquivRelation) -> bool:
 def congruence_generated_by(g: Groupoid, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence relating every given pair.
 
-    Union-find merge of the seed pairs, then translation products are
-    re-merged until nothing changes; at most n-1 merges can ever happen,
-    so the fixpoint is reached quickly.
+    Close the seed pairs to an equivalence, then merge every translate
+    of each element and its block's least member, and repeat until
+    nothing changes; every round but the last merges two blocks, so
+    there are at most n rounds.
     """
     n = g.order
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-    for a, b in pairs:
-        union(a, b)
     table = g.table
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(a + 1, n):
-                if find(a) != find(b):
-                    continue
-                for c in range(n):
-                    if union(table[c][a], table[c][b]):
-                        changed = True
-                    if union(table[a][c], table[b][c]):
-                        changed = True
-    rel = EquivRelation(n, _canonical_labels([find(x) for x in range(n)]))
-    return Congruence(g, rel)
+    rel = EquivRelation.from_pairs(n, pairs)
+    while True:
+        links = [(a, b) for a, b in enumerate(rel.block_of) if a != b]
+        grown = EquivRelation.from_pairs(
+            n,
+            links
+            + [(table[c][a], table[c][b]) for a, b in links for c in range(n)]
+            + [(table[a][c], table[b][c]) for a, b in links for c in range(n)],
+        )
+        if grown == rel:
+            return Congruence(g, rel)
+        rel = grown
 
 
 def kernel(c: Congruence) -> frozenset[int]:
@@ -379,6 +361,35 @@ def is_congruence_pair(g: Groupoid, K: Iterable[int], tau: EquivRelation) -> boo
     return _pair_violation(g, CongruencePair(frozenset(K), tau)) is None
 
 
+def _congruence_of_rule(g: Groupoid, related) -> Congruence:
+    """The congruence relating a and b exactly when related(a, b).
+
+    Every caller's rule is already an equivalence, a theorem the battery
+    checks for each one, so from_pairs adds no pair the rule leaves out.
+    """
+    return Congruence(
+        g,
+        EquivRelation.from_pairs(
+            g.order,
+            ((a, b) for a, b in itertools.combinations(g.elements, 2) if related(a, b)),
+        ),
+    )
+
+
+def _kernel_trace_congruence(g: Groupoid, pair: CongruencePair) -> Congruence:
+    # a ~ b iff the traces of a*a^-1 and b*b^-1 match and a*b^-1 lies in
+    # the kernel; the caller has checked that the pair is valid
+    inverse = require_completely_inverse(g)
+    index_of = {e: i for i, e in enumerate(idempotents(g))}
+
+    def related(a, b):
+        ea = index_of[g.table[a][inverse[a]]]
+        eb = index_of[g.table[b][inverse[b]]]
+        return pair.trace.related(ea, eb) and g.table[a][inverse[b]] in pair.kernel
+
+    return _congruence_of_rule(g, related)
+
+
 def from_kernel_trace(g: Groupoid, pair: CongruencePair) -> Congruence:
     """Rebuild the unique congruence with the given kernel and trace.
 
@@ -389,26 +400,7 @@ def from_kernel_trace(g: Groupoid, pair: CongruencePair) -> Congruence:
     violation = _pair_violation(g, pair)
     if violation is not None:
         raise InvalidCongruencePair(violation)
-    inverse = require_completely_inverse(g)
-    ids = idempotents(g)
-    index_of = {e: i for i, e in enumerate(ids)}
-
-    def related(a, b):
-        ea = index_of[g.table[a][inverse[a]]]
-        eb = index_of[g.table[b][inverse[b]]]
-        return pair.trace.related(ea, eb) and g.table[a][inverse[b]] in pair.kernel
-
-    raw = {
-        (a, b) for a in g.elements for b in g.elements if related(a, b)
-    }
-    rel = EquivRelation.from_pairs(g.order, raw)
-    # the rule must already be an equivalence: closure may add nothing
-    assert all((a, b) in raw for a, b in rel.pairs())
-    assert all((a, a) in raw for a in g.elements)
-    result = Congruence(g, rel)
-    assert kernel(result) == pair.kernel
-    assert trace(result) == pair.trace
-    return result
+    return _kernel_trace_congruence(g, pair)
 
 
 @dataclass(frozen=True)
@@ -485,14 +477,7 @@ def syntactic_congruence(g: Groupoid, Q: Iterable[int]) -> Congruence:
     grouped: dict = {}
     for a in g.elements:
         grouped.setdefault(signature[a], []).append(a)
-    rel = EquivRelation.from_blocks(g.order, grouped.values())
-    result = Congruence(g, rel)
-    # the subset must come out saturated
-    assert all(
-        set(block) <= members or not (set(block) & members)
-        for block in rel.blocks()
-    )
-    return result
+    return Congruence(g, EquivRelation.from_blocks(g.order, grouped.values()))
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:

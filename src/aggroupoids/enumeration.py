@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AlgebraError, BoundExceeded
-from .magma import Groupoid, classify
+from .magma import Groupoid, is_completely_inverse
 from .structure import StrongSemilattice, compose
 
 __all__ = [
@@ -343,7 +343,7 @@ def _searched_tables(n, class_filter, workers):
         return [
             t
             for t in _search_tables(n, ("left-invertive", "swap"), workers=workers)
-            if classify(_groupoid_from_flat(t, n)).is_completely_inverse
+            if is_completely_inverse(_groupoid_from_flat(t, n))
         ]
     raise AlgebraError(f"unknown class {class_filter!r}")
 

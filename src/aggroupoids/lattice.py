@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotASublattice, OrderTooLarge
 from .magma import (
     Groupoid,
     _ag_group_by_solutions,
     _is_e_unitary,
-    classify,
     idempotents,
     is_associative,
     is_commutative,
+    is_completely_inverse,
     is_idempotent_table,
     is_left_invertive,
+    require_completely_inverse,
     subgroupoid,
 )
 from .congruences import (
@@ -46,14 +47,11 @@ from .congruences import (
 )
 from .canonical import (
     _compose,
+    _grouped_by_key,
     _ordered_pairs,
-    ag_group_closure,
     kernel_max,
-    kernel_min,
-    least_e_unitary,
     max_idempotent_separating,
     trace_max,
-    trace_min,
 )
 from .structure import congruence_of_normal, is_normal
 
@@ -216,7 +214,7 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     ]
     meet = tuple(tuple((d & e).bit_length() - 1 for e in down) for d in down)
     join = tuple(tuple(_lowest_bit(u & v) for v in up) for u in up)
-    completely_inverse = classify(g).is_completely_inverse
+    completely_inverse = is_completely_inverse(g)
     markers = tuple(_markers_for(c, completely_inverse) for c in congruences)
     return LatticeReport(g, congruences, markers, leq, meet, join)
 
@@ -237,7 +235,6 @@ def is_modular_sublattice(report: LatticeReport, subset: Sequence[int]):
     """(True, None) when no pentagon embeds in the subset, else
     (False, witness) with witness = (bottom, low, side, high, top)."""
     members = _require_sublattice(report, subset)
-    witness = None
     for o, a, b, c, i in itertools.permutations(members, 5):
         if not (
             report.leq[o][a]
@@ -253,11 +250,8 @@ def is_modular_sublattice(report: LatticeReport, subset: Sequence[int]):
             and report.join[a][b] == i
             and report.join[c][b] == i
         ):
-            witness = (o, a, b, c, i)
-            break
-    # pentagon-freeness and the modular law must agree
-    assert (witness is None) == satisfies_modular_law(report, members)
-    return witness is None, witness
+            return False, (o, a, b, c, i)
+    return True, None
 
 
 def satisfies_modular_law(report: LatticeReport, subset: Sequence[int]) -> bool:
@@ -303,69 +297,37 @@ def trace_homomorphism(g: Groupoid, bound: int = 6) -> TraceHomomorphism:
     image = tuple(
         target.index_of(trace(c)) for c in source.congruences
     )
-    # complete lattice homomorphism: meets and joins pass through
-    size = len(source.congruences)
-    for i in range(size):
-        for j in range(size):
-            assert image[source.meet[i][j]] == target.meet[image[i]][image[j]]
-            assert image[source.join[i][j]] == target.join[image[i]][image[j]]
     # onto: rebuild a congruence from each idempotent relation
-    section = []
-    for t, tau in enumerate(target.congruences):
-        lifted = _lift_idempotent_relation(g, ids, tau.rel)
-        s = source.index_of(lifted)
-        assert image[s] == t
-        section.append(s)
-    return TraceHomomorphism(source, target, image, tuple(section))
+    section = tuple(
+        source.index_of(_lift_idempotent_relation(g, ids, tau.rel))
+        for tau in target.congruences
+    )
+    return TraceHomomorphism(source, target, image, section)
 
 
 def _lift_idempotent_relation(g: Groupoid, ids, tau: EquivRelation) -> EquivRelation:
     # relate a, b when the classes of a*a^-1 and b*b^-1 match under tau
-    from .magma import require_completely_inverse
-
     inverse = require_completely_inverse(g)
     position = {e: k for k, e in enumerate(ids)}
-    grouped: dict = {}
-    for a in g.elements:
-        key = tau.block_of[position[g.table[a][inverse[a]]]]
-        grouped.setdefault(key, []).append(a)
-    return EquivRelation.from_blocks(g.order, grouped.values())
+    return _grouped_by_key(g, lambda a: tau.block_of[position[g.table[a][inverse[a]]]])
 
 
 def trace_class(report: LatticeReport, index: int) -> tuple[int, ...]:
     """All congruences sharing a trace: the interval from trace_min to
     trace_max, modular and with commuting composition."""
-    rho = report.congruences[index]
-    t = trace(rho)
-    members = tuple(
+    t = trace(report.congruences[index])
+    return tuple(
         i for i, c in enumerate(report.congruences) if trace(c) == t
     )
-    low = report.index_of(trace_min(rho).rel)
-    high = report.index_of(trace_max(rho).rel)
-    assert members == tuple(
-        i for i in range(len(report.congruences))
-        if report.leq[low][i] and report.leq[i][high]
-    )
-    assert is_modular_sublattice(report, members)[0]
-    assert commuting_check(report, members)
-    return members
 
 
 def kernel_class(report: LatticeReport, index: int) -> tuple[int, ...]:
     """All congruences sharing a kernel: the interval from kernel_min
     to kernel_max."""
-    rho = report.congruences[index]
-    k = kernel(rho)
-    members = tuple(
+    k = kernel(report.congruences[index])
+    return tuple(
         i for i, c in enumerate(report.congruences) if kernel(c) == k
     )
-    low = report.index_of(kernel_min(rho).rel)
-    high = report.index_of(kernel_max(rho).rel)
-    assert members == tuple(
-        i for i in range(len(report.congruences))
-        if report.leq[low][i] and report.leq[i][high]
-    )
-    return members
 
 
 def fundamental_congruences(report: LatticeReport) -> tuple[int, ...]:
@@ -373,21 +335,10 @@ def fundamental_congruences(report: LatticeReport) -> tuple[int, ...]:
     idempotent-separating congruence, greatest is the top, and the
     trace map restricts to an order isomorphism onto the idempotent
     semilattice's congruence lattice."""
-    g = report.groupoid
-    members = tuple(
+    return tuple(
         i for i, c in enumerate(report.congruences)
         if trace_max(c).rel == c.rel
     )
-    assert members[0] == report.index_of(max_idempotent_separating(g).rel)
-    assert members[-1] == report.top
-    ids = idempotents(g)
-    target = all_congruences(subgroupoid(g, ids))
-    images = [target.index_of(trace(report.congruences[i])) for i in members]
-    assert sorted(images) == list(range(len(target.congruences)))
-    for a, i in zip(members, images):
-        for b, j in zip(members, images):
-            assert report.leq[a][b] == target.leq[i][j]
-    return members
 
 
 def normal_subgroupoids(g: Groupoid) -> tuple[frozenset, ...]:
@@ -411,11 +362,8 @@ def e_unitary_congruences(report: LatticeReport):
     members = tuple(
         i for i, m in enumerate(report.markers) if m.e_unitary
     )
-    assert members
-    assert members[0] == report.index_of(least_e_unitary(g).rel)
     mu_index = report.index_of(max_idempotent_separating(g).rel)
     families = []
-    covered = set()
     for n in normal_subgroupoids(g):
         rho_n = report.index_of(congruence_of_normal(g, n).rel)
         low = report.meet[rho_n][mu_index]
@@ -423,14 +371,7 @@ def e_unitary_congruences(report: LatticeReport):
             i for i in members
             if report.leq[low][i] and report.leq[i][rho_n]
         )
-        expected = tuple(
-            i for i in members
-            if kernel(ag_group_closure(report.congruences[i])) == n
-        )
-        assert interval == expected
         families.append((n, interval))
-        covered.update(interval)
-    assert covered == set(members)
     return members, tuple(families)
 
 

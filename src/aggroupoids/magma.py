@@ -39,6 +39,7 @@ __all__ = [
     "inverses_of",
     "is_regular",
     "require_completely_inverse",
+    "is_completely_inverse",
     "ag_group_left_identity",
     "classify",
     "subgroupoid",
@@ -292,6 +293,17 @@ def require_completely_inverse(g: Groupoid) -> tuple[int, ...]:
     return tuple(inverse)
 
 
+def is_completely_inverse(g: Groupoid) -> bool:
+    """Both defining identities hold and every element has exactly one
+    inverse, which commutes with it; require_completely_inverse is the
+    definition."""
+    try:
+        require_completely_inverse(g)
+    except NotCompletelyInverse:
+        return False
+    return True
+
+
 def _ag_group_by_solutions(g: Groupoid) -> bool:
     # left identity present and every xa = b uniquely solvable for x,
     # i.e. every column of the table is a permutation
@@ -342,23 +354,6 @@ def classify(g: Groupoid) -> ClassificationReport:
 
     regular = is_regular(g)
     inverse_ag_ss = ag_ss and regular
-    completely_inverse = inverse_ag_ss
-    if inverse_ag_ss:
-        for a in g.elements:
-            candidates = inverses_of(g, a)
-            if len(candidates) != 1 or g.table[a][candidates[0]] != g.table[candidates[0]][a]:
-                completely_inverse = False
-                break
-
-    if ag:
-        by_solutions = _ag_group_by_solutions(g)
-        by_inverses = _ag_group_by_inverses(g)
-        # with a left identity the two characterizations are equivalent
-        assert by_solutions == by_inverses
-        ag_group = by_solutions
-    else:
-        ag_group = False
-
     return ClassificationReport(
         is_ag=ag,
         is_ag_star_star=ag_ss,
@@ -370,8 +365,9 @@ def classify(g: Groupoid) -> ClassificationReport:
         is_ag_semilattice=ag and idem and commutative,
         is_regular=regular,
         is_inverse_ag_star_star=inverse_ag_ss,
-        is_completely_inverse=completely_inverse,
-        is_ag_group=ag_group,
+        is_completely_inverse=inverse_ag_ss and is_completely_inverse(g),
+        # the inverse-based reading agrees (thm-ag-group-characterizations)
+        is_ag_group=ag and _ag_group_by_solutions(g),
         is_e_unitary=_is_e_unitary(g),
     )
 
@@ -392,11 +388,8 @@ def ag_group_left_identity(g: Groupoid) -> int:
     """The unique left identity of an AG-group (also its one idempotent)."""
     if not is_left_invertive(g) or not _ag_group_by_solutions(g):
         raise NotAnAgGroup("the carrier is not an AG-group")
-    candidates = left_identities(g)
-    assert len(candidates) == 1
-    e = candidates[0]
-    assert idempotents(g) == (e,)
-    return e
+    # unique, and the only idempotent (thm-ag-group-characterizations)
+    return left_identities(g)[0]
 
 
 def subgroupoid(g: Groupoid, subset: Iterable[int]) -> Groupoid:

@@ -23,7 +23,7 @@ from . import structure as _structure
 from .congruences import EquivRelation
 from .enumeration import EnumerationSpec, census, enumerate_groupoids
 from .errors import AlgebraError, BoundExceeded, NotCompletelyInverse
-from .magma import Groupoid, classify, format_mag, idempotents, inverses_of
+from .magma import classify, format_mag, idempotents, inverses_of
 from .samples import (
     chain_semilattice,
     collapsing_strong_semilattice,
@@ -178,8 +178,12 @@ def _quotient_of(report, i):
     return _congruences.quotient(report.congruences[i]).groupoid
 
 
-def _is_unitary_quotient(report, i):
-    return _magma._is_e_unitary(_quotient_of(report, i))
+def _sandwich(outer, inner):
+    """The related pairs of outer o inner o outer."""
+    around = _canonical._ordered_pairs(outer)
+    return _canonical._compose(
+        _canonical._compose(around, _canonical._ordered_pairs(inner)), around
+    )
 
 
 def _saturates(rel, members):
@@ -269,8 +273,12 @@ def _(ctx):
         by_inverses = _magma._ag_group_by_inverses(g)
         if by_solutions != by_inverses:
             return _bad(g, "the two group characterizations disagree")
-        if by_solutions and len(idempotents(g)) != 1:
-            return _bad(g, "group table with more than one idempotent")
+        if by_solutions:
+            e = _magma.ag_group_left_identity(g)
+            if idempotents(g) != (e,):
+                return _bad(g, "group table with more than one idempotent")
+            if _magma.left_identities(g) != (e,):
+                return _bad(g, "group table with more than one left identity")
         return None
 
     return _each(ctx.family("ag"), one)
@@ -438,6 +446,8 @@ def _(ctx):
         modular, witness = _lattice.is_modular_sublattice(report, whole)
         if not modular:
             return _bad(g, f"pentagon {witness} in a group congruence lattice")
+        if not _lattice.satisfies_modular_law(report, whole):
+            return _bad(g, "pentagon-free, yet the modular law fails")
         return None
 
     return _each(ctx.family("ag-group"), one)
@@ -454,7 +464,7 @@ def _(ctx):
 )
 def _(ctx):
     def one(g):
-        complete = classify(g).is_completely_inverse
+        complete = _magma.is_completely_inverse(g)
         try:
             s = _structure.decompose(g)
         except NotCompletelyInverse:
@@ -524,11 +534,13 @@ def _(ctx):
 def _(ctx):
     def one(g):
         part = _structure.square_part(g)
+        if not (_magma.is_commutative(part) and _magma.is_associative(part)):
+            return _bad(g, "squares are not a commutative semigroup")
         if set(idempotents(part)) != {
             part.index(g.names[e]) for e in idempotents(g)
         }:
             return _bad(g, "squares lost or gained idempotents")
-        if not classify(part).is_completely_inverse:
+        if not _magma.is_completely_inverse(part):
             return _bad(g, "squares are not completely inverse")
         if not all(
             part.mul(e, a) == part.mul(a, e)
@@ -551,7 +563,7 @@ def _(ctx):
 def _(ctx):
     def one(g):
         derived = _structure.derived_groupoid(g)
-        if not classify(derived).is_completely_inverse:
+        if not _magma.is_completely_inverse(derived):
             return _bad(g, "twisted table is not completely inverse")
         if idempotents(derived) != idempotents(g):
             return _bad(g, "twisting changed the idempotents")
@@ -575,10 +587,16 @@ def _(ctx):
     def one(g):
         inv = _magma.require_completely_inverse(g)
         order = _structure.natural_order(g)
+        if not all(order.leq(a, a) for a in g.elements):
+            return _bad(g, "the order is not reflexive")
         for a, b in order.pairs:
+            if a != b and order.leq(b, a):
+                return _bad(g, "the order is not antisymmetric")
             if (inv[a], inv[b]) not in order.pairs:
                 return _bad(g, "inversion breaks the order")
             for c in g.elements:
+                if order.leq(b, c) and not order.leq(a, c):
+                    return _bad(g, "the order is not transitive")
                 if not order.leq(g.mul(a, c), g.mul(b, c)):
                     return _bad(g, "right multiplication breaks the order")
                 if not order.leq(g.mul(c, a), g.mul(c, b)):
@@ -618,18 +636,21 @@ def _(ctx):
                 members = set(subset)
                 if all(g.mul(a, b) in members for a in subset for b in subset):
                     part = _magma.subgroupoid(g, subset)
-                    if classify(part).is_completely_inverse:
+                    if _magma.is_completely_inverse(part):
                         yield subset
 
     count = 0
     for g in ctx.ci_carriers():
+        order = _structure.natural_order(g)
         for subset in closed_subgroupoids(g):
             count += 1
             up = _structure.upward_closure(g, subset)
+            if up != {a for a in g.elements if any(order.leq(b, a) for b in subset)}:
+                return False, count, _bad(g, "closure disagrees with the natural order")
             if not all(g.mul(a, b) in up for a in up for b in up):
                 return False, count, _bad(g, "closure is not a subgroupoid")
             part = _magma.subgroupoid(g, sorted(up))
-            if not classify(part).is_completely_inverse:
+            if not _magma.is_completely_inverse(part):
                 return False, count, _bad(g, "closure is not completely inverse")
             if _structure.upward_closure(g, up) != up:
                 return False, count, _bad(g, "closure is not closed")
@@ -716,10 +737,19 @@ def _(ctx):
                 g,
                 f"{len(valid)} valid pairs against {len(report.congruences)} congruences",
             )
+        inv = _magma.require_completely_inverse(g)
+        index_of = {e: k for k, e in enumerate(ids)}
         for kernel_part, tau in valid:
             built = _congruences.from_kernel_trace(
                 g, _congruences.CongruencePair(kernel_part, tau)
             )
+            for a in g.elements:
+                for b in g.elements:
+                    rule = g.mul(a, inv[b]) in kernel_part and tau.related(
+                        index_of[g.mul(a, inv[a])], index_of[g.mul(b, inv[b])]
+                    )
+                    if built.related(a, b) != rule:
+                        return _bad(g, "the kernel-trace rule is not an equivalence")
             if _congruences.kernel(built) != kernel_part:
                 return _bad(g, "reconstruction moved the kernel")
             if _congruences.trace(built) != tau:
@@ -1020,6 +1050,8 @@ def _(ctx):
         hom = _lattice.trace_homomorphism(g)
         if set(hom.image) != set(range(len(hom.target.congruences))):
             return _bad(g, "trace map is not onto")
+        if any(hom.image[s] != t for t, s in enumerate(hom.section)):
+            return _bad(g, "the lifted relations are not a section of the trace map")
         return None
 
     return _each(ctx.ci_carriers(), one)
@@ -1143,10 +1175,32 @@ def _(ctx):
 )
 def _(ctx):
     def one(g, report, i):
+        c = report.congruences[i]
         members = _lattice.trace_class(report, i)
-        bottom = report.congruences[
-            report.index_of(_canonical.trace_min(report.congruences[i]).rel)
-        ]
+        low = report.index_of(_canonical.trace_min(c).rel)
+        high = report.index_of(_canonical.trace_max(c).rel)
+        interval = tuple(
+            j
+            for j in range(len(report.congruences))
+            if report.leq[low][j] and report.leq[j][high]
+        )
+        if members != interval:
+            return _bad(g, "trace class is not the interval between its extreme forms")
+        if not _lattice.is_modular_sublattice(report, members)[0]:
+            return _bad(g, "trace class is not modular")
+        if not _lattice.commuting_check(report, members):
+            return _bad(g, "trace class does not commute")
+        bottom = report.congruences[low]
+        inv = _magma.require_completely_inverse(g)
+        ids = idempotents(g)
+        for a in g.elements:
+            for b in g.elements:
+                ea, eb = g.mul(a, inv[a]), g.mul(b, inv[b])
+                rule = c.related(ea, eb) and any(
+                    c.related(e, ea) and g.mul(e, a) == g.mul(e, b) for e in ids
+                )
+                if bottom.related(a, b) != rule:
+                    return _bad(g, "the trace-least rule is not an equivalence")
         mirror = ctx.lattice(_congruences.quotient(bottom).groupoid)
         separating = set(_marked(mirror, "idempotent_separating"))
         images = [
@@ -1201,6 +1255,17 @@ def _(ctx):
             return _bad(g, "least fixed point is not the component congruence")
         if report.top not in fundamental:
             return _bad(g, "universal congruence is not a fixed point")
+        target = ctx.lattice(_magma.subgroupoid(g, idempotents(g)))
+        image = {
+            i: target.index_of(_congruences.trace(report.congruences[i]))
+            for i in fundamental
+        }
+        if sorted(image.values()) != list(range(len(target.congruences))):
+            return _bad(g, "fixed points do not mirror the idempotent lattice")
+        for i in fundamental:
+            for j in fundamental:
+                if report.leq[i][j] != target.leq[image[i]][image[j]]:
+                    return _bad(g, "the trace map on fixed points is not an order isomorphism")
         for i in fundamental:
             for j in fundamental:
                 if report.meet[i][j] not in fundamental:
@@ -1449,6 +1514,8 @@ def _(ctx):
         closure = _canonical.ag_group_closure(c)
         if closure.rel != join:
             return _bad(g, "closure differs from the join")
+        if _sandwich(sigma.rel, c.rel) != _canonical._ordered_pairs(join):
+            return _bad(g, "the join is not the two-sided sandwich")
         ids = idempotents(g)
         for a in g.elements:
             for b in g.elements:
@@ -1502,6 +1569,8 @@ def _(ctx):
         join = c.rel.join(sigma.rel)
         if not (c.rel.leq(closure.rel) and closure.rel.leq(join)):
             return _bad(g, "closure breaks the chain")
+        if not report.markers[report.index_of(closure.rel)].e_unitary:
+            return _bad(g, "closure is not unitary")
         if closure.rel.join(sigma.rel) != join:
             return _bad(g, "closure changed the group join")
         return None
@@ -1610,6 +1679,13 @@ def _(ctx):
             )
             if interval != expected:
                 return _bad(g, f"family of {sorted(n)} is not the full interval")
+            by_kernel = tuple(
+                i
+                for i in members
+                if _congruences.kernel(_canonical.ag_group_closure(report.congruences[i])) == n
+            )
+            if interval != by_kernel:
+                return _bad(g, f"family of {sorted(n)} is not its group-closure kernel class")
         return None
 
     return _each(ctx.ci_carriers(), one)
@@ -1628,6 +1704,8 @@ def _(ctx):
         join = c.rel.join(mu.rel)
         if _canonical.semilattice_closure(c).rel != join:
             return _bad(g, "closure differs from the join")
+        if _sandwich(mu.rel, c.rel) != _canonical._ordered_pairs(join):
+            return _bad(g, "the join is not the two-sided sandwich")
         inv = _magma.require_completely_inverse(g)
         for a in g.elements:
             for b in g.elements:
@@ -1653,6 +1731,14 @@ def _(ctx):
         sandwich = c.rel.join(sigma.rel).meet(c.rel.join(mu.rel))
         if _canonical.e_unitary_closure(c).rel != sandwich:
             return _bad(g, f"sandwich misses the closure of {c.partition_text()}")
+        if report.markers[i].e_unitary:
+            group_part, semilattice_part = _canonical.e_unitary_factorization(c)
+            if group_part.rel.meet(semilattice_part.rel) != c.rel:
+                return _bad(g, f"factors of {c.partition_text()} do not meet in it")
+            if not report.markers[report.index_of(group_part.rel)].ag_group:
+                return _bad(g, "group factor has no group quotient")
+            if not report.markers[report.index_of(semilattice_part.rel)].semilattice:
+                return _bad(g, "semilattice factor has no semilattice quotient")
         return None
 
     return _each_congruence(ctx, one)

@@ -199,3 +199,12 @@ def test_worker_flag_does_not_change_output():
     base = run(["enumerate", "--order", "3", "--class", "ag"])
     two = run(["enumerate", "--order", "3", "--class", "ag", "--workers", "2"])
     assert base == two
+
+
+def test_parser_is_built_once_per_process(f1_path):
+    parser = cli._parser()
+    first = run(["lattice", f1_path])
+    second = run(["lattice", f1_path])
+    assert cli._parser() is parser
+    assert cli._parser.cache_info().currsize == 1
+    assert first == second and first[0] == 0

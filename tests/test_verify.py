@@ -1,5 +1,6 @@
 """The theorem-check registry and its mutation-detection behavior."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -57,6 +58,20 @@ def test_battery_passes_under_optimize_flag():
     lines = proc.stdout.splitlines()
     assert len(lines) == len(verify.checks())
     assert all(line.startswith("ok thm-") for line in lines)
+
+
+def test_library_has_no_assert_statements():
+    # theorems live in the battery, and -O must not change what runs
+    package = Path(__file__).resolve().parents[1] / "src" / "aggroupoids"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_only_selects_a_single_check():
