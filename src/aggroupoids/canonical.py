@@ -65,10 +65,13 @@ class CanonicalSuite:
             yield field.replace("_", "-"), getattr(self, field)
 
 
-def _grouped_by_key(g: Groupoid, key) -> EquivRelation:
+def _grouped_by_idempotent(g: Groupoid, label) -> EquivRelation:
+    """Relate a and b when label[a*a^-1] == label[b*b^-1]; label maps
+    each idempotent to the block it lies in."""
+    inverse = require_completely_inverse(g)
     grouped: dict = {}
     for a in g.elements:
-        grouped.setdefault(key(a), []).append(a)
+        grouped.setdefault(label[g.table[a][inverse[a]]], []).append(a)
     return EquivRelation.from_blocks(g.order, grouped.values())
 
 
@@ -91,8 +94,8 @@ def _compose(p, q) -> frozenset:
 def max_idempotent_separating(g: Groupoid) -> Congruence:
     """Partition by the idempotent a*a^-1; also the least congruence
     with a semilattice quotient."""
-    inverse = require_completely_inverse(g)
-    return Congruence(g, _grouped_by_key(g, lambda a: g.table[a][inverse[a]]))
+    # each idempotent labels its own block
+    return Congruence(g, _grouped_by_idempotent(g, g.elements))
 
 
 def least_ag_group_congruence(g: Groupoid) -> Congruence:
@@ -127,10 +130,7 @@ def trace_max(rho: Congruence) -> Congruence:
     """Largest congruence with the same trace: relate a, b whenever
     a*a^-1 and b*b^-1 were already related."""
     g = rho.groupoid
-    inverse = require_completely_inverse(g)
-    return Congruence(
-        g, _grouped_by_key(g, lambda a: rho.rel.block_of[g.table[a][inverse[a]]])
-    )
+    return Congruence(g, _grouped_by_idempotent(g, rho.rel.block_of))
 
 
 def trace_min(rho: Congruence) -> Congruence:

@@ -313,31 +313,37 @@ def congruence_pair_of(c: Congruence) -> CongruencePair:
     return CongruencePair(kernel(c), trace(c))
 
 
+def _kernel_violation(g: Groupoid, inverse, members) -> str | None:
+    """First failed kernel property of a subset, in a fixed order:
+    nonempty subset, subgroupoid, inverse-closed, full, symmetric."""
+    if not members or not all(isinstance(a, int) and 0 <= a < g.order for a in members):
+        return "not a nonempty subset of the carrier"
+    for a in members:
+        for b in members:
+            if g.table[a][b] not in members:
+                return f"not a subgroupoid: {g.names[a]} * {g.names[b]} escapes it"
+    if any(inverse[a] not in members for a in members):
+        return "not inverse-closed"
+    if not set(idempotents(g)) <= members:
+        return "not full: misses an idempotent"
+    for a in g.elements:
+        for b in g.elements:
+            if g.table[a][b] in members and g.table[b][a] not in members:
+                return (
+                    f"not symmetric: {g.names[a]} * {g.names[b]} is inside "
+                    f"but the reversed product is not"
+                )
+    return None
+
+
 def _pair_violation(g: Groupoid, pair: CongruencePair) -> str | None:
     """First violated pair condition, or None. Assumes g completely inverse."""
     inverse = require_completely_inverse(g)
-    ids = idempotents(g)
     K = pair.kernel
-    if not K or not all(isinstance(a, int) and 0 <= a < g.order for a in K):
-        return "kernel is not a nonempty subset of the carrier"
-    for a in K:
-        for b in K:
-            if g.table[a][b] not in K:
-                return (
-                    f"kernel is not a subgroupoid: "
-                    f"{g.names[a]} * {g.names[b]} escapes it"
-                )
-    if any(inverse[a] not in K for a in K):
-        return "kernel is not inverse-closed"
-    if not set(ids) <= K:
-        return "kernel is not full: it misses an idempotent"
-    for a in g.elements:
-        for b in g.elements:
-            if g.table[a][b] in K and g.table[b][a] not in K:
-                return (
-                    f"kernel is not symmetric: {g.names[a]} * {g.names[b]} "
-                    f"is inside but the reversed product is not"
-                )
+    violation = _kernel_violation(g, inverse, K)
+    if violation is not None:
+        return "kernel is " + violation
+    ids = idempotents(g)
     if pair.trace.order != len(ids):
         return "trace is not a relation on the idempotents"
     if not is_congruence(subgroupoid(g, ids), pair.trace):

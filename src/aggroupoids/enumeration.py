@@ -1,11 +1,13 @@
 """Exhaustive generation of small tables in each groupoid class.
 
 A backtracking search fills the Cayley table cell by cell, rejecting a
-value as soon as it completes a violated law instance; the four cells of
-an instance are tracked in every role so each check is incremental. The
-completely inverse class has a second, independent generator that builds
-strong semilattices of AG-groups and composes them; the two censuses
-must agree wherever both run, and tests pin that agreement.
+value as soon as it completes a violated law instance. Each law's check
+is compiled from its term in magma: the new cell is tried in the role of
+every product of the law, so a check visits only the instances that
+cell can complete. The completely inverse class has a second,
+independent generator that builds strong semilattices of AG-groups and
+composes them; the two censuses must agree wherever both run, and tests
+pin that agreement.
 
 The search breaks relabeling symmetry with the least-number heuristic
 of SEM-style model finders (J. Zhang and H. Zhang, "SEM: a system for
@@ -33,7 +35,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AlgebraError, BoundExceeded
-from .magma import Groupoid, is_completely_inverse
+from .magma import (
+    ASSOCIATIVE,
+    COMMUTATIVE,
+    LEFT_INVERTIVE,
+    SWAP_LAW,
+    Groupoid,
+    _incremental_check,
+    is_completely_inverse,
+)
 from .structure import StrongSemilattice, compose
 
 __all__ = [
@@ -91,151 +101,13 @@ def are_isomorphic(g: Groupoid, h: Groupoid) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-# --- incremental law checks over a flat table, -1 meaning unknown ---
-# Each function answers: do all law instances completed by the new cell
-# (r, c) = v still hold? Roles cover the new cell appearing as either
-# inner product or either outer product of the instance.
-
-
-def _ok_left_invertive(T, n, r, c, v):
-    # (xy)z = (zy)x
-    for z in range(n):  # new cell is (x,y)
-        w = T[z * n + c]
-        if w < 0:
-            continue
-        lhs = T[v * n + z]
-        rhs = T[w * n + r]
-        if lhs >= 0 and rhs >= 0 and lhs != rhs:
-            return False
-    for x in range(n):  # new cell is (z,y)
-        u = T[x * n + c]
-        if u < 0:
-            continue
-        lhs = T[u * n + r]
-        rhs = T[v * n + x]
-        if lhs >= 0 and rhs >= 0 and lhs != rhs:
-            return False
-    for x in range(n):  # new cell is the left outer product: u = r, z = c
-        base = x * n
-        for y in range(n):
-            if T[base + y] != r:
-                continue
-            w = T[c * n + y]
-            if w < 0:
-                continue
-            rhs = T[w * n + x]
-            if rhs >= 0 and rhs != v:
-                return False
-    for z in range(n):  # new cell is the right outer product: w = r, x = c
-        base = z * n
-        for y in range(n):
-            if T[base + y] != r:
-                continue
-            u = T[c * n + y]
-            if u < 0:
-                continue
-            lhs = T[u * n + z]
-            if lhs >= 0 and lhs != v:
-                return False
-    return True
-
-
-def _ok_swap(T, n, r, c, v):
-    # x(yz) = y(xz)
-    for x in range(n):  # new cell is (y,z)
-        lhs = T[x * n + v]
-        q = T[x * n + c]
-        if lhs < 0 or q < 0:
-            continue
-        rhs = T[r * n + q]
-        if rhs >= 0 and lhs != rhs:
-            return False
-    for y in range(n):  # new cell is (x,z)
-        p = T[y * n + c]
-        if p < 0:
-            continue
-        lhs = T[r * n + p]
-        rhs = T[y * n + v]
-        if lhs >= 0 and rhs >= 0 and lhs != rhs:
-            return False
-    for y in range(n):  # new cell is the left outer product: x = r, p = c
-        base = y * n
-        for z in range(n):
-            if T[base + z] != c:
-                continue
-            q = T[r * n + z]
-            if q < 0:
-                continue
-            rhs = T[y * n + q]
-            if rhs >= 0 and rhs != v:
-                return False
-    for x in range(n):  # new cell is the right outer product: y = r, q = c
-        base = x * n
-        for z in range(n):
-            if T[base + z] != c:
-                continue
-            p = T[r * n + z]
-            if p < 0:
-                continue
-            lhs = T[x * n + p]
-            if lhs >= 0 and lhs != v:
-                return False
-    return True
-
-
-def _ok_associative(T, n, r, c, v):
-    # (xy)z = x(yz)
-    for z in range(n):  # new cell is (x,y)
-        lhs = T[v * n + z]
-        p = T[c * n + z]
-        if lhs < 0 or p < 0:
-            continue
-        rhs = T[r * n + p]
-        if rhs >= 0 and lhs != rhs:
-            return False
-    for x in range(n):  # new cell is (y,z)
-        u = T[x * n + r]
-        if u < 0:
-            continue
-        lhs = T[u * n + c]
-        rhs = T[x * n + v]
-        if lhs >= 0 and rhs >= 0 and lhs != rhs:
-            return False
-    for x in range(n):  # new cell is the left product: u = r, z = c
-        base = x * n
-        for y in range(n):
-            if T[base + y] != r:
-                continue
-            p = T[y * n + c]
-            if p < 0:
-                continue
-            rhs = T[x * n + p]
-            if rhs >= 0 and rhs != v:
-                return False
-    for y in range(n):  # new cell is the right product: x = r, p = c
-        base = y * n
-        for z in range(n):
-            if T[base + z] != c:
-                continue
-            u = T[r * n + y]
-            if u < 0:
-                continue
-            lhs = T[u * n + z]
-            if lhs >= 0 and lhs != v:
-                return False
-    return True
-
-
-def _ok_commutative(T, n, r, c, v):
-    mirror = T[c * n + r]
-    return r == c or mirror < 0 or mirror == v
-
-
+# incremental law checks over a flat table, -1 meaning unknown, each
+# compiled from the law's term (see magma._incremental_source)
 _LAW_CHECKS = {
-    "left-invertive": _ok_left_invertive,
-    "swap": _ok_swap,
-    "associative": _ok_associative,
-    "commutative": _ok_commutative,
+    "left-invertive": _incremental_check(*LEFT_INVERTIVE),
+    "swap": _incremental_check(*SWAP_LAW),
+    "associative": _incremental_check(*ASSOCIATIVE),
+    "commutative": _incremental_check(*COMMUTATIVE),
 }
 
 

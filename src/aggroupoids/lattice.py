@@ -24,15 +24,11 @@ from typing import Iterator, Sequence
 from .errors import NotASublattice, OrderTooLarge
 from .magma import (
     Groupoid,
-    _ag_group_by_solutions,
     _is_e_unitary,
     idempotents,
-    is_associative,
-    is_commutative,
+    is_ag_group,
     is_completely_inverse,
-    is_idempotent_table,
-    is_left_invertive,
-    require_completely_inverse,
+    is_semilattice,
     subgroupoid,
 )
 from .congruences import (
@@ -47,7 +43,7 @@ from .congruences import (
 )
 from .canonical import (
     _compose,
-    _grouped_by_key,
+    _grouped_by_idempotent,
     _ordered_pairs,
     kernel_max,
     max_idempotent_separating,
@@ -168,8 +164,8 @@ def _markers_for(c: Congruence, completely_inverse: bool) -> CongruenceMarkers:
     return CongruenceMarkers(
         idempotent_separating=separating,
         idempotent_pure=pure,
-        semilattice=is_idempotent_table(q) and is_commutative(q) and is_associative(q),
-        ag_group=is_left_invertive(q) and _ag_group_by_solutions(q),
+        semilattice=is_semilattice(q),
+        ag_group=is_ag_group(q),
         e_unitary=_is_e_unitary(q),
         fundamental=fundamental,
         e_disjunctive=e_disjunctive,
@@ -297,19 +293,13 @@ def trace_homomorphism(g: Groupoid, bound: int = 6) -> TraceHomomorphism:
     image = tuple(
         target.index_of(trace(c)) for c in source.congruences
     )
-    # onto: rebuild a congruence from each idempotent relation
+    # onto: rebuild a congruence from each idempotent relation, relating
+    # a and b when the classes of a*a^-1 and b*b^-1 match under it
     section = tuple(
-        source.index_of(_lift_idempotent_relation(g, ids, tau.rel))
+        source.index_of(_grouped_by_idempotent(g, dict(zip(ids, tau.rel.block_of))))
         for tau in target.congruences
     )
     return TraceHomomorphism(source, target, image, section)
-
-
-def _lift_idempotent_relation(g: Groupoid, ids, tau: EquivRelation) -> EquivRelation:
-    # relate a, b when the classes of a*a^-1 and b*b^-1 match under tau
-    inverse = require_completely_inverse(g)
-    position = {e: k for k, e in enumerate(ids)}
-    return _grouped_by_key(g, lambda a: tau.block_of[position[g.table[a][inverse[a]]]])
 
 
 def trace_class(report: LatticeReport, index: int) -> tuple[int, ...]:

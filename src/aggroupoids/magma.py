@@ -1,11 +1,14 @@
 """Finite magmas as Cayley tables, and the Abel-Grassmann class tests.
 
 Elements are dense indices 0..n-1 internally; labels exist only at the
-I/O boundary. All law checks are exhaustive table scans. check_identity
-compiles each identity, on first use, into one nested loop per variable
-that evaluates every product subterm once, in the outermost loop binding
-its variables, and caches the result; the orders this library targets
-(n <= 8 or so) keep the O(n^3) and O(n^4) scans small.
+I/O boundary. Each law is written once, as a term, and compiled two
+ways. check_identity compiles it, on first use, into one nested loop per
+variable that evaluates every product subterm once, in the outermost
+loop binding its variables, and caches the result; the orders this
+library targets (n <= 8 or so) keep the O(n^3) and O(n^4) scans small.
+_incremental_check compiles it for the table search in enumeration: a
+check over a partly filled table that visits only the instances one new
+cell can complete.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ __all__ = [
     "is_commutative",
     "is_associative",
     "is_idempotent_table",
+    "is_semilattice",
     "idempotents",
     "left_identities",
     "inverses_of",
     "is_regular",
     "require_completely_inverse",
     "is_completely_inverse",
+    "is_ag_group",
     "ag_group_left_identity",
     "classify",
     "subgroupoid",
@@ -136,19 +141,13 @@ def _variables(term) -> set:
     return _variables(term[0]) | _variables(term[1])
 
 
-def _identity_source(lhs, rhs) -> str:
-    """Python source of check(T, E), which scans lhs = rhs over E^v.
-
-    One loop per variable, in sorted variable order. Each distinct product
-    subterm is computed once, in the outermost loop that binds all of its
-    variables, and a row T[a] read by a deeper loop is hoisted to where a
-    is known. Locals are positional (v0.., t0.., rv0.., rt0..), so no
-    variable name given by the caller appears in the source.
-    """
+def _terms(lhs, rhs):
+    """Sorted variables, distinct product subterms operands first, and the
+    positional local name of each (v0.., t0..), so no variable name given
+    by the caller appears in generated source."""
     variables = sorted(_variables(lhs) | _variables(rhs))
     local = {v: f"v{i}" for i, v in enumerate(variables)}
-    depth = {v: i for i, v in enumerate(variables)}
-    products = []  # distinct product subterms, operands first
+    products = []
 
     def visit(term):
         if term in local:
@@ -156,11 +155,25 @@ def _identity_source(lhs, rhs) -> str:
         visit(term[0])
         visit(term[1])
         local[term] = f"t{len(products)}"
-        depth[term] = max(depth[term[0]], depth[term[1]])
         products.append(term)
 
     visit(lhs)
     visit(rhs)
+    return variables, products, local
+
+
+def _identity_source(lhs, rhs) -> str:
+    """Python source of check(T, E), which scans lhs = rhs over E^v.
+
+    One loop per variable, in sorted variable order. Each distinct product
+    subterm is computed once, in the outermost loop that binds all of its
+    variables, and a row T[a] read by a deeper loop is hoisted to where a
+    is known into the local r<name of a>.
+    """
+    variables, products, local = _terms(lhs, rhs)
+    depth = {v: i for i, v in enumerate(variables)}
+    for term in products:
+        depth[term] = max(depth[term[0]], depth[term[1]])
     hoisted = {term[0] for term in products if depth[term] > depth[term[0]]}
 
     def row(term):
@@ -184,11 +197,81 @@ def _identity_source(lhs, rhs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _incremental_source(lhs, rhs) -> str:
+    """Python source of check(T, n, r, c, v) over a flat n*n table, -1
+    marking an unknown cell, whose cell (r, c) was just set to v: False
+    when an instance of lhs = rhs that uses that cell fails with every
+    cell known.
+
+    One block per distinct product lets the new cell play that role: its
+    operands come to r and c, and it is v. Operand variables are bound;
+    the others get a loop each, the operands' first. Each product is read
+    once its operands are known, the role's subterms first, and the
+    instance is skipped when a cell is unknown or an operand misses r or
+    c. Locals are those of _identity_source; a row offset a * n read in a
+    deeper loop is hoisted to where a is known, as r<name of a>.
+    """
+    variables, products, local = _terms(lhs, rhs)
+    lines = ["def check(T, n, r, c, v):"]
+    for role in products:
+        left, right = role
+        inside = _variables(role)
+        bound = [x for x in variables if x in role]
+        loops = sorted(set(variables) - set(bound), key=lambda x: (x not in inside, x))
+        depth = dict.fromkeys(bound, 0)
+        depth.update((x, i + 1) for i, x in enumerate(loops))
+        for term in products:
+            depth[term] = max(depth[term[0]], depth[term[1]])
+        hoisted = {t[0] for t in products if t != role and depth[t] > depth[t[0]]}
+        within = {role}
+        for term in reversed(products):
+            if term in within:
+                within.update(term)
+        indent = "    "
+        for term in sorted(
+            bound + loops + products,
+            key=lambda t: (depth[t], isinstance(t, tuple), t not in within),
+        ):
+            name = local[term]
+            if term in bound:
+                steps = [f"{name} = {'r' if term == left else 'c'}"]
+                if term == left == right:
+                    steps.append(f"if {name} == c:")
+            elif term in loops:
+                steps = [f"for {name} in range(n):"]
+            elif term == role:
+                steps = [f"{name} = v"]
+            else:
+                a, b = term
+                row = f"r{local[a]}" if a in hoisted else f"{local[a]} * n"
+                tests = [f"{name} == {x}" for x, o in (("r", left), ("c", right)) if o == term]
+                test = " and ".join(tests) or f"{name} >= 0"
+                steps = [f"{name} = T[{row} + {local[b]}]", f"if {test}:"]
+            if term in hoisted:
+                steps.append(f"r{name} = {name} * n")
+            for step in steps:
+                lines.append(indent + step)
+                indent += "    " * step.endswith(":")
+        lines += [f"{indent}if {local[lhs]} != {local[rhs]}:", f"{indent}    return False"]
+    lines.append("    return True")
+    return "\n".join(lines) + "\n"
+
+
+def _compiled(source, label):
+    # a label per law keeps each compiled check apart in a profile
+    namespace = {}
+    exec(compile(source, label, "exec"), namespace)
+    return namespace["check"]
+
+
 @functools.lru_cache
 def _compiled_identity(lhs, rhs):
-    namespace = {}
-    exec(compile(_identity_source(lhs, rhs), "<identity>", "exec"), namespace)
-    return namespace["check"]
+    return _compiled(_identity_source(lhs, rhs), f"<identity {lhs} = {rhs}>")
+
+
+def _incremental_check(lhs, rhs):
+    """The table search's check of lhs = rhs (see _incremental_source)."""
+    return _compiled(_incremental_source(lhs, rhs), f"<incremental {lhs} = {rhs}>")
 
 
 def check_identity(g: Groupoid, lhs, rhs) -> bool:
@@ -236,6 +319,11 @@ def is_associative(g: Groupoid) -> bool:
 
 def is_idempotent_table(g: Groupoid) -> bool:
     return all(g.table[x][x] == x for x in g.elements)
+
+
+def is_semilattice(g: Groupoid) -> bool:
+    """Idempotent, commutative and associative."""
+    return is_idempotent_table(g) and is_commutative(g) and is_associative(g)
 
 
 def idempotents(g: Groupoid) -> tuple[int, ...]:
@@ -315,6 +403,11 @@ def _ag_group_by_solutions(g: Groupoid) -> bool:
     )
 
 
+def is_ag_group(g: Groupoid) -> bool:
+    """Left invertive with every xa = b uniquely solvable and a left identity."""
+    return is_left_invertive(g) and _ag_group_by_solutions(g)
+
+
 def _ag_group_by_inverses(g: Groupoid) -> bool:
     # left identity e present and every a has some x with xa = e
     for e in left_identities(g):
@@ -366,8 +459,7 @@ def classify(g: Groupoid) -> ClassificationReport:
         is_regular=regular,
         is_inverse_ag_star_star=inverse_ag_ss,
         is_completely_inverse=inverse_ag_ss and is_completely_inverse(g),
-        # the inverse-based reading agrees (thm-ag-group-characterizations)
-        is_ag_group=ag and _ag_group_by_solutions(g),
+        is_ag_group=is_ag_group(g),
         is_e_unitary=_is_e_unitary(g),
     )
 
@@ -386,7 +478,7 @@ def _is_e_unitary(g: Groupoid) -> bool:
 
 def ag_group_left_identity(g: Groupoid) -> int:
     """The unique left identity of an AG-group (also its one idempotent)."""
-    if not is_left_invertive(g) or not _ag_group_by_solutions(g):
+    if not is_ag_group(g):
         raise NotAnAgGroup("the carrier is not an AG-group")
     # unique, and the only idempotent (thm-ag-group-characterizations)
     return left_identities(g)[0]

@@ -22,13 +22,13 @@ from .magma import (
     Groupoid,
     _content_lines,
     _parse_mag_lines,
-    classify,
     format_mag,
     idempotents,
     inverses_of,
+    is_ag_group,
     is_associative,
     is_commutative,
-    is_idempotent_table,
+    is_semilattice,
     require_completely_inverse,
     subgroupoid,
 )
@@ -37,6 +37,7 @@ from .congruences import (
     CongruencePair,
     EquivRelation,
     _kernel_trace_congruence,
+    _kernel_violation,
 )
 from .canonical import max_idempotent_separating
 
@@ -101,10 +102,10 @@ class StrongSemilattice:
 def validate_structure(s: StrongSemilattice) -> None:
     """Check the algebraic laws; raises naming the first violated one."""
     y = s.semilattice
-    if not (is_commutative(y) and is_associative(y) and is_idempotent_table(y)):
+    if not is_semilattice(y):
         raise InvalidStructure("semilattice", "the index groupoid is not a semilattice")
     for i, c in enumerate(s.components):
-        if not classify(c).is_ag_group:
+        if not is_ag_group(c):
             raise InvalidStructure(
                 "component", f"component {y.names[i]!r} is not an AG-group"
             )
@@ -176,7 +177,6 @@ def decompose(g: Groupoid) -> StrongSemilattice:
     idempotent-separating congruence around its idempotent, and the map
     below an idempotent pair is translation by the lower idempotent.
     """
-    require_completely_inverse(g)
     mu = max_idempotent_separating(g)
     ids = idempotents(g)
     y = subgroupoid(g, ids)
@@ -263,30 +263,10 @@ def normality_violation(g: Groupoid, subset: Iterable[int]) -> str | None:
     """First failed normality property in a fixed order, or None."""
     inverse = require_completely_inverse(g)
     members = frozenset(subset)
-    if not members or not all(
-        isinstance(a, int) and 0 <= a < g.order for a in members
-    ):
-        return "not a nonempty subset of the carrier"
-    for a in members:
-        for b in members:
-            if g.table[a][b] not in members:
-                return (
-                    f"not a subgroupoid: {g.names[a]} * {g.names[b]} escapes it"
-                )
-    if any(inverse[a] not in members for a in members):
-        return "not inverse-closed"
-    if not set(idempotents(g)) <= members:
-        return "not full: misses an idempotent"
-    for a in g.elements:
-        for b in g.elements:
-            if g.table[a][b] in members and g.table[b][a] not in members:
-                return (
-                    f"not symmetric: {g.names[a]} * {g.names[b]} is inside "
-                    f"but the reversed product is not"
-                )
-    if upward_closure(g, members) != members:
-        return "not closed under the natural order"
-    return None
+    violation = _kernel_violation(g, inverse, members)
+    if violation is None and upward_closure(g, members) != members:
+        violation = "not closed under the natural order"
+    return violation
 
 
 def is_normal(g: Groupoid, subset: Iterable[int]) -> bool:

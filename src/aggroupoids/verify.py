@@ -23,7 +23,7 @@ from . import structure as _structure
 from .congruences import EquivRelation
 from .enumeration import EnumerationSpec, census, enumerate_groupoids
 from .errors import AlgebraError, BoundExceeded, NotCompletelyInverse
-from .magma import classify, format_mag, idempotents, inverses_of
+from .magma import format_mag, idempotents, inverses_of
 from .samples import (
     chain_semilattice,
     collapsing_strong_semilattice,
@@ -117,41 +117,46 @@ def _bad(g, message):
 
 
 def _each(items, fn):
-    """Run fn over items; fn returns an error message or None."""
+    """Run fn over items; fn returns an error message or None.
+
+    An item is a carrier g, or a tuple (g, ...) of fn's arguments. A body
+    that raises fails the check at that instance with g attached, so its
+    detail replays like any other counterexample.
+    """
     count = 0
     for item in items:
+        args = item if isinstance(item, tuple) else (item,)
         count += 1
-        message = fn(item)
+        try:
+            message = fn(*args)
+        except Exception as exc:
+            return False, count, _bad(args[0], f"{type(exc).__name__}: {exc}")
         if message is not None:
             return False, count, message
     return True, count, ""
 
 
-def _each_congruence(ctx, fn):
-    """fn(g, report, index) over every congruence of every carrier."""
-    count = 0
+def _congruences_of(ctx):
+    """(g, report, index) for every congruence of every carrier."""
     for g in ctx.ci_carriers():
         report = ctx.lattice(g)
         for i in range(len(report.congruences)):
-            count += 1
-            message = fn(g, report, i)
-            if message is not None:
-                return False, count, message
-    return True, count, ""
+            yield g, report, i
+
+
+def _each_congruence(ctx, fn):
+    """fn(g, report, index) over every congruence of every carrier."""
+    return _each(_congruences_of(ctx), fn)
 
 
 def _each_congruence_pair(ctx, fn):
-    count = 0
-    for g in ctx.ci_carriers():
-        report = ctx.lattice(g)
-        size = len(report.congruences)
-        for i in range(size):
-            for j in range(size):
-                count += 1
-                message = fn(g, report, i, j)
-                if message is not None:
-                    return False, count, message
-    return True, count, ""
+    """fn(g, report, i, j) over every pair of congruences of one carrier."""
+    pairs = (
+        (g, report, i, j)
+        for g, report, i in _congruences_of(ctx)
+        for j in range(len(report.congruences))
+    )
+    return _each(pairs, fn)
 
 
 def _marked(report, name):
@@ -248,11 +253,7 @@ def _(ctx):
         if not idempotents(g):
             return None
         sub = _magma.idempotent_semilattice(g)
-        if not (
-            _magma.is_commutative(sub)
-            and _magma.is_associative(sub)
-            and _magma.is_idempotent_table(sub)
-        ):
+        if not _magma.is_semilattice(sub):
             return _bad(g, "idempotent part is not a semilattice")
         return None
 
@@ -291,7 +292,7 @@ def _(ctx):
 )
 def _(ctx):
     def one(g):
-        if len(idempotents(g)) == 1 and not classify(g).is_ag_group:
+        if len(idempotents(g)) == 1 and not _magma.is_ag_group(g):
             return _bad(g, "single idempotent but not a group")
         return None
 
@@ -381,7 +382,7 @@ def _(ctx):
         mu = _canonical.max_idempotent_separating(g)
         for block in mu.rel.blocks():
             part = _magma.subgroupoid(g, block)
-            if not classify(part).is_ag_group:
+            if not _magma.is_ag_group(part):
                 return _bad(g, f"class {block} is not a group")
         return None
 
@@ -639,22 +640,26 @@ def _(ctx):
                     if _magma.is_completely_inverse(part):
                         yield subset
 
-    count = 0
-    for g in ctx.ci_carriers():
-        order = _structure.natural_order(g)
-        for subset in closed_subgroupoids(g):
-            count += 1
-            up = _structure.upward_closure(g, subset)
-            if up != {a for a in g.elements if any(order.leq(b, a) for b in subset)}:
-                return False, count, _bad(g, "closure disagrees with the natural order")
-            if not all(g.mul(a, b) in up for a in up for b in up):
-                return False, count, _bad(g, "closure is not a subgroupoid")
-            part = _magma.subgroupoid(g, sorted(up))
-            if not _magma.is_completely_inverse(part):
-                return False, count, _bad(g, "closure is not completely inverse")
-            if _structure.upward_closure(g, up) != up:
-                return False, count, _bad(g, "closure is not closed")
-    return True, count, ""
+    def one(g, order, subset):
+        up = _structure.upward_closure(g, subset)
+        if up != {a for a in g.elements if any(order.leq(b, a) for b in subset)}:
+            return _bad(g, "closure disagrees with the natural order")
+        if not all(g.mul(a, b) in up for a in up for b in up):
+            return _bad(g, "closure is not a subgroupoid")
+        part = _magma.subgroupoid(g, sorted(up))
+        if not _magma.is_completely_inverse(part):
+            return _bad(g, "closure is not completely inverse")
+        if _structure.upward_closure(g, up) != up:
+            return _bad(g, "closure is not closed")
+        return None
+
+    def instances():
+        for g in ctx.ci_carriers():
+            order = _structure.natural_order(g)
+            for subset in closed_subgroupoids(g):
+                yield g, order, subset
+
+    return _each(instances(), one)
 
 
 @_check(
@@ -1297,21 +1302,23 @@ def _(ctx):
     "ag-star-star x subsets",
 )
 def _(ctx):
-    count = 0
-    for g in ctx.family("ag-star-star"):
-        report = ctx.lattice(g)
-        for size in range(1, g.order + 1):
-            for subset in itertools.combinations(g.elements, size):
-                count += 1
-                syntactic = _congruences.syntactic_congruence(g, subset)
-                if not _saturates(syntactic.rel, subset):
-                    return False, count, _bad(g, "syntactic congruence splits the subset")
-                for c in report.congruences:
-                    if _saturates(c.rel, subset) and not c.rel.leq(syntactic.rel):
-                        return False, count, _bad(
-                            g, f"{c.partition_text()} saturates but is not below"
-                        )
-    return True, count, ""
+    def one(g, report, subset):
+        syntactic = _congruences.syntactic_congruence(g, subset)
+        if not _saturates(syntactic.rel, subset):
+            return _bad(g, "syntactic congruence splits the subset")
+        for c in report.congruences:
+            if _saturates(c.rel, subset) and not c.rel.leq(syntactic.rel):
+                return _bad(g, f"{c.partition_text()} saturates but is not below")
+        return None
+
+    def instances():
+        for g in ctx.family("ag-star-star"):
+            report = ctx.lattice(g)
+            for size in range(1, g.order + 1):
+                for subset in itertools.combinations(g.elements, size):
+                    yield g, report, subset
+
+    return _each(instances(), one)
 
 
 @_check(
@@ -1835,7 +1842,7 @@ def _(ctx):
     def one(g):
         tau = _canonical.max_idempotent_pure(g)
         both = _magma._is_e_unitary(g) and tau.rel == EquivRelation.identity(g.order)
-        if both != classify(g).is_ag_group:
+        if both != _magma.is_ag_group(g):
             return _bad(g, "characterization fails")
         return None
 

@@ -1,5 +1,7 @@
 """Table generation, canonical forms, census goldens."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,19 @@ from aggroupoids import (
     classify,
     enumerate_groupoids,
 )
-from aggroupoids.enumeration import _pool_size, canonical_table
+from aggroupoids.enumeration import _LAW_CHECKS, _pool_size, canonical_table
 from aggroupoids.errors import AlgebraError, BoundExceeded
-from aggroupoids.magma import Groupoid
+from aggroupoids.magma import (
+    ASSOCIATIVE,
+    COMMUTATIVE,
+    LEFT_INVERTIVE,
+    MEDIAL,
+    PARAMEDIAL,
+    SWAP_LAW,
+    Groupoid,
+    check_identity,
+    _incremental_check,
+)
 from aggroupoids.samples import cyclic_group, inverse_monoid4
 
 
@@ -140,6 +152,72 @@ def test_canonical_table_is_relabeling_invariant(data):
         for j in range(n):
             new[perm[i]][perm[j]] = perm[table[i][j]]
     assert canonical_table(table) == canonical_table(tuple(map(tuple, new)))
+
+
+LAW_TERMS = {
+    "left-invertive": LEFT_INVERTIVE,
+    "swap": SWAP_LAW,
+    "associative": ASSOCIATIVE,
+    "commutative": COMMUTATIVE,
+}
+# compiled the same way, to reach shapes the four laws lack: four
+# variables, a variable on one side, a product of a variable with itself
+MORE_TERMS = (MEDIAL, PARAMEDIAL, (("x", "x"), "x"), (("x", ("x", "y")), ("y", "y")))
+
+
+def _failing_instances(T, n, lhs, rhs):
+    """(complete, failing) sets of variable assignments over a flat
+    partial table, -1 marking an unknown cell."""
+    def variables(term):
+        if isinstance(term, str):
+            return {term}
+        return variables(term[0]) | variables(term[1])
+
+    names = sorted(variables(lhs) | variables(rhs))
+
+    def value(term, env):
+        if isinstance(term, str):
+            return env[term]
+        a, b = value(term[0], env), value(term[1], env)
+        return -1 if a < 0 or b < 0 else T[a * n + b]
+
+    complete, failing = set(), set()
+    for values in itertools.product(range(n), repeat=len(names)):
+        env = dict(zip(names, values))
+        left, right = value(lhs, env), value(rhs, env)
+        if left >= 0 and right >= 0:
+            complete.add(values)
+            if left != right:
+                failing.add(values)
+    return complete, failing
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_incremental_checks_agree_with_check_identity(data):
+    # each step passes exactly when no instance it completes fails, so
+    # a whole fill passes exactly when the finished table obeys the law
+    n = data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    order = data.draw(st.permutations(range(n * n)))
+    g = Groupoid(
+        tuple(str(i) for i in range(n)),
+        tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)),
+    )
+    checks = [(_LAW_CHECKS[name], law) for name, law in LAW_TERMS.items()]
+    checks += [(_incremental_check(*law), law) for law in MORE_TERMS]
+    for check, (lhs, rhs) in checks:
+        T = [-1] * (n * n)
+        before = set()
+        passed = True
+        for pos in order:
+            T[pos] = cells[pos]
+            ok = check(T, n, *divmod(pos, n), cells[pos])
+            complete, failing = _failing_instances(T, n, lhs, rhs)
+            assert ok == (not failing - before), (lhs, rhs, T, pos)
+            before = complete
+            passed = passed and ok
+        assert passed == check_identity(g, lhs, rhs)
 
 
 def test_are_isomorphic(f1):

@@ -304,3 +304,29 @@ def test_identity_source_uses_only_generated_names():
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
             assert allowed.fullmatch(tok.string), tok.string
+
+
+def test_incremental_source_uses_only_generated_names():
+    lhs = (("x y", "1"), ("1", "x y"))
+    rhs = ("x y", ("__import__", "1"))
+    source = magma._incremental_source(lhs, rhs)
+    allowed = re.compile(
+        r"r?[vt]\d+|def|check|T|n|r|c|v|range|for|in|if|and|return|False|True"
+    )
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert allowed.fullmatch(tok.string), tok.string
+    # variables named like the check's parameters r, c, v and n (renamed
+    # in sorted order a < b < c < d, as c < n < r < v) must not reach the
+    # source, where they would shadow the new cell or the order
+    rename = {"a": "c", "b": "n", "c": "r", "d": "v"}
+
+    def renamed(term):
+        if isinstance(term, str):
+            return rename[term]
+        return renamed(term[0]), renamed(term[1])
+
+    for law in (magma.MEDIAL, magma.PARAMEDIAL):
+        clashing = renamed(law[0]), renamed(law[1])
+        assert magma._incremental_source(*clashing) == magma._incremental_source(*law)
+        assert magma._identity_source(*clashing) == magma._identity_source(*law)

@@ -11,6 +11,7 @@ import pytest
 from aggroupoids import canonical, verify
 from aggroupoids.congruences import Congruence, EquivRelation
 from aggroupoids.errors import AlgebraError, BoundExceeded
+from aggroupoids.magma import parse_mag
 
 
 def test_registry_integrity():
@@ -140,3 +141,16 @@ def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch):
     assert not crashed.passed
     assert crashed.detail == "ZeroDivisionError: boom"
     assert all(r.passed for r in by_id.values())
+
+
+def test_a_raising_check_body_reports_its_table(monkeypatch):
+    def crashing(rho):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(canonical, "trace_max", crashing)
+    (result,) = verify.run_all(bound=2, only="thm-fundamental-fixed-point")
+    assert not result.passed
+    assert result.instances == 1
+    first, *table = result.detail.splitlines()
+    assert first == "ZeroDivisionError: boom"
+    assert parse_mag("\n".join(table)).order == 1
