@@ -215,7 +215,7 @@ class Congruence:
         g, rel = self.groupoid, self.rel
         if rel.order != g.order:
             raise AlgebraError("relation does not match the carrier size")
-        witness = _compatibility_witness(g, rel)
+        witness = _compatibility_witness(g.table, rel.block_of)
         if witness is not None:
             a, b, c, side = witness
             raise NotACongruence(
@@ -230,16 +230,25 @@ class Congruence:
         return format_partition(self.rel, self.groupoid.names)
 
 
-def _compatibility_witness(g: Groupoid, rel: EquivRelation):
-    table = g.table
-    for a in range(g.order):
-        for b in range(a + 1, g.order):
-            if rel.block_of[a] != rel.block_of[b]:
+def _compatibility_witness(table, block_of: Sequence[int]):
+    """First (a, b, c, side) with a < b in one block whose translates by
+    c on that side fall in different blocks, or None for a congruence.
+
+    Takes the bare table and block labels, so the lattice scan can test
+    a partition before building its relation."""
+    n = len(block_of)
+    for a in range(n):
+        block = block_of[a]
+        row_a = table[a]
+        for b in range(a + 1, n):
+            if block_of[b] != block:
                 continue
-            for c in range(g.order):
-                if rel.block_of[table[c][a]] != rel.block_of[table[c][b]]:
+            row_b = table[b]
+            for c in range(n):
+                row_c = table[c]
+                if block_of[row_c[a]] != block_of[row_c[b]]:
                     return a, b, c, "left"
-                if rel.block_of[table[a][c]] != rel.block_of[table[b][c]]:
+                if block_of[row_a[c]] != block_of[row_b[c]]:
                     return a, b, c, "right"
     return None
 
@@ -247,7 +256,7 @@ def _compatibility_witness(g: Groupoid, rel: EquivRelation):
 def is_congruence(g: Groupoid, rel: EquivRelation) -> bool:
     if rel.order != g.order:
         raise AlgebraError("relation does not match the carrier size")
-    return _compatibility_witness(g, rel) is None
+    return _compatibility_witness(g.table, rel.block_of) is None
 
 
 def congruence_generated_by(g: Groupoid, pairs: Iterable[tuple[int, int]]) -> Congruence:

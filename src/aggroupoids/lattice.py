@@ -11,8 +11,17 @@ The congruences are sorted by decreasing number of blocks, so no
 relation comes after one strictly above it. The order table compares
 related-pair bit masks, and the meet and join tables are read off the
 sort order with bit operations on index masks (see `all_congruences`),
-without building any relation. The quotient markers test only the laws
-they name.
+without building any relation. The scan tests each partition as a label
+tuple and builds a relation only for the congruences.
+
+On a completely inverse table the fundamental and E-disjunctive markers
+are read off the same masks: a congruence is a fixed point of
+`trace_max` (of `kernel_max`) exactly when it is the top of its trace
+(kernel) class. The semilattice, ag-group and e-unitary markers stay
+tests of the laws they name on the quotient: the battery checks the
+closed forms of the least semilattice, AG-group and E-unitary
+congruences against them, and a marker read as "lies above the closed
+form" would make those checks restate themselves.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import NotASublattice, OrderTooLarge
+from .errors import AlgebraError, NotASublattice, OrderTooLarge
 from .magma import (
     Groupoid,
     _is_e_unitary,
@@ -34,9 +43,8 @@ from .magma import (
 from .congruences import (
     Congruence,
     EquivRelation,
-    _canonical_labels,
+    _compatibility_witness,
     format_partition,
-    is_congruence,
     kernel,
     quotient,
     trace,
@@ -45,7 +53,6 @@ from .canonical import (
     _compose,
     _grouped_by_idempotent,
     _ordered_pairs,
-    kernel_max,
     max_idempotent_separating,
     trace_max,
 )
@@ -128,22 +135,33 @@ class LatticeReport:
         return len(self.congruences) - 1
 
 
+def _partition_labels(n: int) -> Iterator[tuple[int, ...]]:
+    """The least-member `block_of` tuple of every partition of 0..n-1,
+    in restricted-growth order: each element joins the blocks opened so
+    far, by ascending least member, and then opens a new block."""
+    if n < 1:
+        raise AlgebraError(f"no partitions of a carrier of size {n}")
+
+    def extend(prefix, leaders):
+        i = len(prefix)
+        if i == n:
+            yield prefix
+            return
+        for b in leaders:
+            yield from extend(prefix + (b,), leaders)
+        yield from extend(prefix + (i,), leaders + (i,))
+
+    return extend((0,), (0,))
+
+
 def iter_partitions(n: int) -> Iterator[EquivRelation]:
     """All partitions of 0..n-1 in restricted-growth order."""
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            yield EquivRelation(n, _canonical_labels(labels))
-            return
-        for v in range(used + 1):
-            labels[i] = v
-            yield from rec(i + 1, used + (1 if v == used else 0))
-
-    yield from rec(1, 1)
+    return (EquivRelation(n, block_of) for block_of in _partition_labels(n))
 
 
-def _markers_for(c: Congruence, completely_inverse: bool) -> CongruenceMarkers:
+def _markers_for(
+    c: Congruence, fundamental: bool | None, e_disjunctive: bool | None
+) -> CongruenceMarkers:
     g = c.groupoid
     ids = idempotents(g)
     separating = all(
@@ -156,11 +174,6 @@ def _markers_for(c: Congruence, completely_inverse: bool) -> CongruenceMarkers:
         if set(block) & id_set
     )
     q = quotient(c).groupoid
-    fundamental = None
-    e_disjunctive = None
-    if completely_inverse:
-        fundamental = trace_max(c).rel == c.rel
-        e_disjunctive = kernel_max(c).rel == c.rel
     return CongruenceMarkers(
         idempotent_separating=separating,
         idempotent_pure=pure,
@@ -170,6 +183,15 @@ def _markers_for(c: Congruence, completely_inverse: bool) -> CongruenceMarkers:
         fundamental=fundamental,
         e_disjunctive=e_disjunctive,
     )
+
+
+def _class_tops(up: Sequence[int], keys: Sequence) -> list[bool]:
+    """For each index i, whether no strictly larger congruence has the
+    same key: up[i] meets the mask of its key's class only at i."""
+    same: dict = {}
+    for i, key in enumerate(keys):
+        same[key] = same.get(key, 0) | 1 << i
+    return [(up[i] & same[key]) == 1 << i for i, key in enumerate(keys)]
 
 
 def _pair_mask(rel: EquivRelation) -> int:
@@ -186,21 +208,39 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     """Filter every partition of the carrier; the default bound keeps
     the scan at 203 partitions or fewer.
 
-    Congruences are sorted by (-number of blocks, block_of): the
-    identity comes first, the universal relation last, and a congruence
-    strictly above another has fewer blocks and so a larger index. The
-    order table compares bit masks of related pairs. Every common upper
-    bound of i and j other than their join has fewer blocks than the
-    join, so the join is the lowest index among the common upper
-    bounds; dually, the meet is the highest index among the common
-    lower bounds. Both are read off index masks with bit operations.
+    The scan tests each partition's label tuple against the table and
+    builds a relation only for the congruences. They are sorted by
+    (-number of blocks, block_of): the identity comes first, the
+    universal relation last, and a congruence strictly above another
+    has fewer blocks and so a larger index. The order table compares
+    bit masks of related pairs. Every common upper bound of i and j
+    other than their join has fewer blocks than the join, so the join
+    is the lowest index among the common upper bounds; dually, the meet
+    is the highest index among the common lower bounds. Both are read
+    off index masks with bit operations.
+
+    On a completely inverse table a congruence is fundamental when it
+    is the top of its trace class, and E-disjunctive when it is the top
+    of its kernel class; both classes are intervals, so these markers
+    are read off the index masks too, keyed by `trace` and `kernel`.
+    The semilattice, ag-group and e-unitary markers test the quotient,
+    so that the battery checks comparing them with the closed-form
+    least congruences (`thm-mu-least-semilattice`,
+    `thm-sigma-least-ag-group`, `thm-pi-least-e-unitary`) compare two
+    independent readings.
     """
     if g.order > bound:
         raise OrderTooLarge(
             f"order {g.order} exceeds the exhaustive-enumeration bound {bound}"
         )
-    rels = [rel for rel in iter_partitions(g.order) if is_congruence(g, rel)]
-    rels.sort(key=lambda rel: (-rel.num_blocks, rel.block_of))
+    table = g.table
+    labels = [
+        block_of
+        for block_of in _partition_labels(g.order)
+        if _compatibility_witness(table, block_of) is None
+    ]
+    labels.sort(key=lambda block_of: (-len(set(block_of)), block_of))
+    rels = [EquivRelation(g.order, block_of) for block_of in labels]
     congruences = tuple(Congruence(g, rel) for rel in rels)
     masks = [_pair_mask(rel) for rel in rels]
     leq = tuple(tuple(p | q == q for q in masks) for p in masks)
@@ -210,8 +250,15 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     ]
     meet = tuple(tuple((d & e).bit_length() - 1 for e in down) for d in down)
     join = tuple(tuple(_lowest_bit(u & v) for v in up) for u in up)
-    completely_inverse = is_completely_inverse(g)
-    markers = tuple(_markers_for(c, completely_inverse) for c in congruences)
+    if is_completely_inverse(g):
+        fundamental = _class_tops(up, [trace(c) for c in congruences])
+        e_disjunctive = _class_tops(up, [kernel(c) for c in congruences])
+    else:
+        fundamental = e_disjunctive = [None] * len(congruences)
+    markers = tuple(
+        _markers_for(c, f, e)
+        for c, f, e in zip(congruences, fundamental, e_disjunctive)
+    )
     return LatticeReport(g, congruences, markers, leq, meet, join)
 
 

@@ -1228,7 +1228,8 @@ def _(ctx):
 @_check(
     "thm-fundamental-fixed-point",
     "a quotient has a trivial component congruence exactly when the "
-    "congruence equals its trace-greatest form",
+    "congruence equals its trace-greatest form, and the lattice marks "
+    "exactly these congruences fundamental",
     "completely-inverse x congruences",
 )
 def _(ctx):
@@ -1238,8 +1239,11 @@ def _(ctx):
         fundamental = _canonical.max_idempotent_separating(q).rel == EquivRelation.identity(
             q.order
         )
-        if fundamental != (_canonical.trace_max(c).rel == c.rel):
+        fixed = _canonical.trace_max(c).rel == c.rel
+        if fundamental != fixed:
             return _bad(g, "fixed point test disagrees")
+        if report.markers[i].fundamental != fixed:
+            return _bad(g, f"fundamental marker disagrees on {c.partition_text()}")
         return None
 
     return _each_congruence(ctx, one)
@@ -1458,7 +1462,8 @@ def _(ctx):
 @_check(
     "thm-disjunctive-fixed-point",
     "a quotient has a trivial largest pure congruence exactly when the "
-    "congruence equals its kernel-greatest form",
+    "congruence equals its kernel-greatest form, and the lattice marks "
+    "exactly these congruences E-disjunctive",
     "completely-inverse x congruences",
 )
 def _(ctx):
@@ -1468,8 +1473,11 @@ def _(ctx):
         disjunctive = _canonical.max_idempotent_pure(q).rel == EquivRelation.identity(
             q.order
         )
-        if disjunctive != (_canonical.kernel_max(c).rel == c.rel):
+        fixed = _canonical.kernel_max(c).rel == c.rel
+        if disjunctive != fixed:
             return _bad(g, "fixed point test disagrees")
+        if report.markers[i].e_disjunctive != fixed:
+            return _bad(g, f"e-disjunctive marker disagrees on {c.partition_text()}")
         return None
 
     return _each_congruence(ctx, one)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from aggroupoids import all_congruences, cli, parse_mag
 from aggroupoids.congruences import format_partition, parse_partition
 from aggroupoids.errors import AlgebraError
+from aggroupoids.magma import is_completely_inverse
 from aggroupoids.structure import (
     compose,
     decompose,
@@ -27,7 +28,11 @@ from aggroupoids.structure import (
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 TABLES = {path.name: path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.mag"))}
 GROUPOIDS = {name: parse_mag(text) for name, text in TABLES.items()}
-STRUCTURES = [format_strong_semilattice(decompose(g)) for g in GROUPOIDS.values()]
+STRUCTURES = [
+    format_strong_semilattice(decompose(g))
+    for g in GROUPOIDS.values()
+    if is_completely_inverse(g)
+]
 PARTITIONS = [
     (format_partition(c.rel, g.names), g.names)
     for g in GROUPOIDS.values()

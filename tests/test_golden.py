@@ -2,7 +2,9 @@
 
 Each golden file holds the stdout of one ``cli.main`` call: ``analyze``,
 ``congruences``, ``lattice`` and ``decompose`` on every ``demos/data``
-table, and ``verify --order 3``. ``enumerate.sha256`` holds one sha256
+table, and ``verify --order 3``. A run that exits non-zero, such as
+``analyze`` on a table that is not completely inverse, adds a last line
+with its exit code and stderr. ``enumerate.sha256`` holds one sha256
 line per ``enumerate`` run instead, since the labeled outputs are large:
 every class at orders 1-4, plain and ``--labeled``, and the two classes
 with a higher bound at order 5. A change that must keep the output
@@ -54,12 +56,14 @@ def digest_lines() -> str:
 
 
 def stdout_of(argv) -> bytes:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """Stdout, then "exit <code>: <stderr>" when the run exits non-zero."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    text = out.getvalue()
     if code != 0:
-        raise RuntimeError(f"{' '.join(argv)} exited {code}")
-    return out.getvalue().encode("utf-8")
+        text += f"exit {code}: {err.getvalue()}"
+    return text.encode("utf-8")
 
 
 def test_stdout_matches_the_golden_files():

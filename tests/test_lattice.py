@@ -13,6 +13,7 @@ from aggroupoids import (
     trace_class,
     trace_homomorphism,
 )
+from aggroupoids.congruences import EquivRelation, _canonical_labels
 from aggroupoids.errors import AlgebraError, NotASublattice, OrderTooLarge
 from aggroupoids.lattice import commuting_check, iter_partitions
 from aggroupoids.magma import Groupoid
@@ -147,11 +148,37 @@ def test_collapse_lattice(collapse):
     ]
 
 
+def _restricted_growth(n):
+    """Restricted-growth label lists of 0..n-1, the first label 0 and
+    each later one at most one above the largest before it."""
+    labels = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            yield list(labels)
+            return
+        for v in range(used + 1):
+            labels[i] = v
+            yield from rec(i + 1, used + (v == used))
+
+    yield from rec(1, 1)
+
+
 def test_iter_partitions_counts_bell_numbers():
-    assert sum(1 for _ in iter_partitions(1)) == 1
-    assert sum(1 for _ in iter_partitions(3)) == 5
-    assert sum(1 for _ in iter_partitions(4)) == 15
-    assert sum(1 for _ in iter_partitions(5)) == 52
+    """Bell(n) distinct partitions, in restricted-growth order with the
+    labels relabelled to least block members."""
+    for n, bell in enumerate((1, 2, 5, 15, 52, 203), start=1):
+        found = list(iter_partitions(n))
+        assert len(set(found)) == bell
+        assert found == [
+            EquivRelation(n, _canonical_labels(labels)) for labels in _restricted_growth(n)
+        ]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_iter_partitions_rejects_an_empty_carrier(n):
+    with pytest.raises(AlgebraError):
+        iter_partitions(n)
 
 
 def test_all_congruences_respects_the_bound():

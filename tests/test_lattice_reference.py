@@ -1,13 +1,16 @@
 """The congruence lattice against relation-level references.
 
-`all_congruences` reads its order, meet and join tables off the sorted
-congruence list with bit operations, and its quotient markers test only
-the laws they name. Here the tables are rebuilt from `EquivRelation.leq`,
-`.meet` and `.join` and the partition scan, and the markers from a copy
-of the earlier `_markers_for`, which ran a full `classify` on every
-quotient. The universe is every `ag` class representative of order 1-4
-plus composed tables of order 5 and 6, one of them left invertive but
-not completely inverse.
+`all_congruences` scans label tuples, reads its order, meet and join
+tables off the sorted congruence list with bit operations, reads the
+fundamental and e-disjunctive markers off the trace and kernel classes,
+and tests only the laws the other markers name. Here the congruences
+come from a set-partition scan and a compatibility test of this file's
+own, the tables from `EquivRelation.leq`, `.meet` and `.join`, and the
+markers from a copy of the earlier `_markers_for`, which ran a full
+`classify` on every quotient and tested the `trace_max` and `kernel_max`
+fixed points. The universe is every `ag` class representative of order
+1-4, every completely inverse one of order 5, and composed tables of
+order 5 and 6, one of them left invertive but not completely inverse.
 """
 
 import itertools
@@ -16,8 +19,8 @@ import pytest
 
 from aggroupoids import EnumerationSpec, all_congruences, classify, enumerate_groupoids
 from aggroupoids.canonical import kernel_max, trace_max
-from aggroupoids.congruences import EquivRelation, is_congruence, quotient
-from aggroupoids.lattice import CongruenceMarkers, iter_partitions
+from aggroupoids.congruences import EquivRelation, quotient
+from aggroupoids.lattice import CongruenceMarkers
 from aggroupoids.magma import Groupoid, idempotents, is_idempotent_table
 from aggroupoids.samples import (
     chain_semilattice,
@@ -103,14 +106,48 @@ def _composed_tables():
     ]
 
 
-UNIVERSES = ["ag-1", "ag-2", "ag-3", "ag-4", "composed"]
+UNIVERSES = ["ag-1", "ag-2", "ag-3", "ag-4", "ci-5", "composed"]
+CLASS_OF_PREFIX = {"ag": "ag", "ci": "completely-inverse"}
 
 
 def _universe(name):
     if name == "composed":
         return _composed_tables()
-    n = int(name.split("-")[1])
-    return enumerate_groupoids(EnumerationSpec(n, "ag"))
+    prefix, n = name.split("-")
+    return enumerate_groupoids(EnumerationSpec(int(n), CLASS_OF_PREFIX[prefix]))
+
+
+def _set_partitions(elements):
+    """Every partition of a list as a list of blocks: the last element
+    joins each block of a partition of the rest, or stands alone."""
+    if not elements:
+        yield []
+        return
+    *rest, last = elements
+    for blocks in _set_partitions(rest):
+        for k in range(len(blocks)):
+            yield blocks[:k] + [blocks[k] + [last]] + blocks[k + 1:]
+        yield blocks + [[last]]
+
+
+def _compatible(g, rel):
+    t = g.table
+    return all(
+        rel.related(t[c][a], t[c][b]) and rel.related(t[a][c], t[b][c])
+        for a, b in rel.pairs()
+        for c in g.elements
+    )
+
+
+def _scanned_congruences(g):
+    return [
+        rel
+        for rel in (
+            EquivRelation.from_blocks(g.order, blocks)
+            for blocks in _set_partitions(list(g.elements))
+        )
+        if _compatible(g, rel)
+    ]
 
 
 def test_composed_tables_cover_orders_five_and_six():
@@ -126,7 +163,7 @@ def test_tables_match_the_relation_oracle(universe):
     for g in _universe(universe):
         report = all_congruences(g)
         rels = [c.rel for c in report.congruences]
-        scanned = [rel for rel in iter_partitions(g.order) if is_congruence(g, rel)]
+        scanned = _scanned_congruences(g)
         assert len(rels) == len(scanned) and set(rels) == set(scanned)
         assert rels[0] == EquivRelation.identity(g.order)
         assert rels[-1] == EquivRelation.universal(g.order)
