@@ -30,13 +30,15 @@ __all__ = ["main"]
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise AlgebraError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise AlgebraError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _table(path):

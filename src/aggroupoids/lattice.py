@@ -38,6 +38,7 @@ from .magma import (
     is_ag_group,
     is_completely_inverse,
     is_semilattice,
+    require_completely_inverse,
     subgroupoid,
 )
 from .congruences import (
@@ -54,7 +55,6 @@ from .canonical import (
     _grouped_by_idempotent,
     _ordered_pairs,
     max_idempotent_separating,
-    trace_max,
 )
 from .structure import congruence_of_normal, is_normal
 
@@ -368,14 +368,13 @@ def kernel_class(report: LatticeReport, index: int) -> tuple[int, ...]:
 
 
 def fundamental_congruences(report: LatticeReport) -> tuple[int, ...]:
-    """Fixed points of trace_max; least member is the maximum
-    idempotent-separating congruence, greatest is the top, and the
-    trace map restricts to an order isomorphism onto the idempotent
-    semilattice's congruence lattice."""
-    return tuple(
-        i for i, c in enumerate(report.congruences)
-        if trace_max(c).rel == c.rel
-    )
+    """The congruences marked fundamental, the fixed points of trace_max;
+    least member is the maximum idempotent-separating congruence,
+    greatest is the top, and the trace map restricts to an order
+    isomorphism onto the idempotent semilattice's congruence lattice.
+    Raises NotCompletelyInverse on a table without the markers."""
+    require_completely_inverse(report.groupoid)
+    return tuple(i for i, m in enumerate(report.markers) if m.fundamental)
 
 
 def normal_subgroupoids(g: Groupoid) -> tuple[frozenset, ...]:

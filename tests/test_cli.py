@@ -177,6 +177,26 @@ def test_unicode_digit_count_exit_code(tmp_path):
     assert "error:" in err and "element count" in err
 
 
+def test_non_utf8_file_exit_code(tmp_path):
+    bad = tmp_path / "latin.mag"
+    bad.write_bytes(b"1\n\xff\n\xff\n")
+    code, out, err = run(["check", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {bad}: not UTF-8 text\n"
+
+
+def test_non_utf8_stdin_exit_code(monkeypatch):
+    stdin = io.TextIOWrapper(
+        io.BytesIO(b"1\n\xff\n\xff\n"), encoding="utf-8", errors="strict"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(["check", "-"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot read -: not UTF-8 text\n"
+
+
 def test_missing_file_exit_code(tmp_path):
     code, _, err = run(["check", str(tmp_path / "absent.mag")])
     assert code == 2

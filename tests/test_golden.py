@@ -2,12 +2,12 @@
 
 Each golden file holds the stdout of one ``cli.main`` call: ``analyze``,
 ``congruences``, ``lattice`` and ``decompose`` on every ``demos/data``
-table, and ``verify --order 3``. A run that exits non-zero, such as
-``analyze`` on a table that is not completely inverse, adds a last line
-with its exit code and stderr. ``enumerate.sha256`` holds one sha256
-line per ``enumerate`` run instead, since the labeled outputs are large:
-every class at orders 1-4, plain and ``--labeled``, and the two classes
-with a higher bound at order 5. A change that must keep the output
+table, and ``verify --order 3`` and ``--order 4``. A run that exits
+non-zero, such as ``analyze`` on a table that is not completely inverse,
+adds a last line with its exit code and stderr. ``enumerate.sha256``
+holds one sha256 line per ``enumerate`` run instead, since the labeled
+outputs are large: every class at orders 1-4, plain and ``--labeled``,
+and the two classes with a higher bound at order 5. A change that must keep the output
 identical leaves these files alone; a change that alters the output on
 purpose rewrites them with
 
@@ -36,6 +36,7 @@ def golden_runs():
         for command in TABLE_COMMANDS:
             yield f"{table.stem}.{command}.txt", [command, str(table)]
     yield "verify-order-3.txt", ["verify", "--order", "3"]
+    yield "verify-order-4.txt", ["verify", "--order", "4"]
 
 
 def enumerate_runs():

@@ -1,5 +1,7 @@
 """Exhaustive congruence lattices, markers, sublattice analysis."""
 
+from pathlib import Path
+
 import pytest
 
 from aggroupoids import (
@@ -14,9 +16,14 @@ from aggroupoids import (
     trace_homomorphism,
 )
 from aggroupoids.congruences import EquivRelation, _canonical_labels
-from aggroupoids.errors import AlgebraError, NotASublattice, OrderTooLarge
+from aggroupoids.errors import (
+    AlgebraError,
+    NotASublattice,
+    NotCompletelyInverse,
+    OrderTooLarge,
+)
 from aggroupoids.lattice import commuting_check, iter_partitions
-from aggroupoids.magma import Groupoid
+from aggroupoids.magma import Groupoid, parse_mag
 from aggroupoids.samples import chain_semilattice
 
 
@@ -112,6 +119,13 @@ def test_kernel_classes(f1_report):
 
 def test_fundamental_congruences(f1_report):
     assert fundamental_congruences(f1_report) == (3, 4)
+
+
+def test_fundamental_congruences_reject_a_table_without_inverses():
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    g = parse_mag((data / "subtraction_null6.mag").read_text())
+    with pytest.raises(NotCompletelyInverse, match="^element '0_1' has no inverse$"):
+        fundamental_congruences(all_congruences(g))
 
 
 def test_normal_subgroupoids(f1):

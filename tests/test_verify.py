@@ -25,6 +25,11 @@ def test_registry_integrity():
         assert c.universe
 
 
+def test_every_universe_has_an_entry_and_a_check():
+    used = {c.universe for c in verify.checks()}
+    assert used == set(verify._UNIVERSES)
+
+
 def test_trivial_bound_passes():
     results = verify.run_all(bound=1)
     assert len(results) == len(verify.checks())
@@ -154,3 +159,18 @@ def test_a_raising_check_body_reports_its_table(monkeypatch):
     first, *table = result.detail.splitlines()
     assert first == "ZeroDivisionError: boom"
     assert parse_mag("\n".join(table)).order == 1
+
+
+def test_a_raising_engine_check_reports_without_a_table(monkeypatch):
+    def crashing(spec, **options):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(verify, "census", crashing)
+    results = verify.run_all(bound=2)
+    by_id = {r.check_id: r for r in results}
+    crashed = by_id.pop("thm-dual-census-agreement")
+    assert not crashed.passed
+    assert crashed.instances == 1
+    assert crashed.detail == "ZeroDivisionError: boom"  # an order, no table
+    assert len(by_id) == len(verify.checks()) - 1
+    assert all(r.passed for r in by_id.values())
