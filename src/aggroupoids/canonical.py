@@ -69,26 +69,7 @@ def _grouped_by_idempotent(g: Groupoid, label) -> EquivRelation:
     """Relate a and b when label[a*a^-1] == label[b*b^-1]; label maps
     each idempotent to the block it lies in."""
     inverse = require_completely_inverse(g)
-    grouped: dict = {}
-    for a in g.elements:
-        grouped.setdefault(label[g.table[a][inverse[a]]], []).append(a)
-    return EquivRelation.from_blocks(g.order, grouped.values())
-
-
-def _ordered_pairs(rel: EquivRelation) -> frozenset:
-    return frozenset(
-        (a, b)
-        for a in range(rel.order)
-        for b in range(rel.order)
-        if rel.related(a, b)
-    )
-
-
-def _compose(p, q) -> frozenset:
-    by_first: dict = {}
-    for b, c in q:
-        by_first.setdefault(b, []).append(c)
-    return frozenset((a, c) for a, b in p for c in by_first.get(b, ()))
+    return EquivRelation.from_keys(label[g.table[a][inverse[a]]] for a in g.elements)
 
 
 def max_idempotent_separating(g: Groupoid) -> Congruence:

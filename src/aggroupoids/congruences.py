@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     AlgebraError,
@@ -24,10 +24,8 @@ from .errors import (
 )
 from .magma import (
     Groupoid,
-    SWAP_LAW,
-    check_identity,
     idempotents,
-    is_left_invertive,
+    is_ag_star_star,
     require_completely_inverse,
     subgroupoid,
 )
@@ -54,12 +52,12 @@ __all__ = [
 ]
 
 
-def _canonical_labels(block_of: Sequence[int]) -> tuple[int, ...]:
-    # relabel block ids to least members; a block's id is the index of
+def _canonical_labels(keys: Iterable[Hashable]) -> tuple[int, ...]:
+    # relabel keys to least members; a key's block id is the index of
     # its first occurrence because we scan in ascending element order
-    first: dict[int, int] = {}
+    first: dict = {}
     out = []
-    for x, b in enumerate(block_of):
+    for x, b in enumerate(keys):
         if b not in first:
             first[b] = x
         out.append(first[b])
@@ -89,6 +87,12 @@ class EquivRelation:
         return cls(order, (0,) * order)
 
     @classmethod
+    def from_keys(cls, keys: Iterable[Hashable]) -> "EquivRelation":
+        """Relate x and y exactly when keys[x] == keys[y]."""
+        block_of = _canonical_labels(keys)
+        return cls(len(block_of), block_of)
+
+    @classmethod
     def from_pairs(cls, order: int, pairs: Iterable[tuple[int, int]]) -> "EquivRelation":
         """Smallest equivalence relating every given pair."""
         parent = list(range(order))
@@ -103,7 +107,7 @@ class EquivRelation:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        return cls(order, _canonical_labels([find(x) for x in range(order)]))
+        return cls.from_keys(find(x) for x in range(order))
 
     @classmethod
     def from_blocks(cls, order: int, blocks: Iterable[Iterable[int]]) -> "EquivRelation":
@@ -148,12 +152,7 @@ class EquivRelation:
         )
 
     def meet(self, other: "EquivRelation") -> "EquivRelation":
-        seen: dict[tuple[int, int], int] = {}
-        block_of = []
-        for x in range(self.order):
-            key = (self.block_of[x], other.block_of[x])
-            block_of.append(seen.setdefault(key, x))
-        return EquivRelation(self.order, _canonical_labels(block_of))
+        return EquivRelation.from_keys(zip(self.block_of, other.block_of, strict=True))
 
     def join(self, other: "EquivRelation") -> "EquivRelation":
         return EquivRelation.from_pairs(
@@ -164,13 +163,7 @@ class EquivRelation:
 
     def restrict(self, members: Sequence[int]) -> "EquivRelation":
         """The induced relation on a subset, re-indexed along sorted order."""
-        members = sorted(members)
-        position = {a: i for i, a in enumerate(members)}
-        block_of = []
-        for a in members:
-            rep = min(x for x in members if self.related(x, a))
-            block_of.append(position[rep])
-        return EquivRelation(len(members), tuple(block_of))
+        return EquivRelation.from_keys(self.block_of[a] for a in sorted(members))
 
 
 def parse_partition(text: str, names: Sequence[str]) -> EquivRelation:
@@ -287,10 +280,9 @@ def kernel(c: Congruence) -> frozenset[int]:
     """Union of classes containing idempotents; must agree with the
     square characterization {a : a related to a*a}."""
     g = c.groupoid
-    ids = idempotents(g)
-    by_classes = frozenset(
-        a for a in g.elements if any(c.related(a, e) for e in ids)
-    )
+    labels = c.rel.block_of
+    id_labels = {labels[e] for e in idempotents(g)}
+    by_classes = frozenset(a for a in g.elements if labels[a] in id_labels)
     by_squares = frozenset(
         a for a in g.elements if c.related(a, g.table[a][a])
     )
@@ -379,16 +371,16 @@ def is_congruence_pair(g: Groupoid, K: Iterable[int], tau: EquivRelation) -> boo
 def _congruence_of_rule(g: Groupoid, related) -> Congruence:
     """The congruence relating a and b exactly when related(a, b).
 
-    Every caller's rule is already an equivalence, a theorem the battery
-    checks for each one, so from_pairs adds no pair the rule leaves out.
+    Each b is labelled by the least a < b with related(a, b), or by b
+    itself: the least member of its class when the rule is an
+    equivalence. Every caller's rule is one, a theorem the battery
+    checks for each; the rule is not closed, so one that is not
+    transitive gives a wrong partition or an AlgebraError.
     """
-    return Congruence(
-        g,
-        EquivRelation.from_pairs(
-            g.order,
-            ((a, b) for a, b in itertools.combinations(g.elements, 2) if related(a, b)),
-        ),
+    labels = tuple(
+        next((a for a in range(b) if related(a, b)), b) for b in g.elements
     )
+    return Congruence(g, EquivRelation(g.order, labels))
 
 
 def _kernel_trace_congruence(g: Groupoid, pair: CongruencePair) -> Congruence:
@@ -451,14 +443,12 @@ def induced_congruence(upsilon: Congruence, rho: Congruence) -> Congruence:
     if not rho.rel.leq(upsilon.rel):
         raise NotARefinement("the quotient congruence does not refine the other")
     q = quotient(rho)
-    blocks = rho.rel.blocks()
-    pairs = [
-        (i, j)
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-        if upsilon.related(blocks[i][0], blocks[j][0])
-    ]
-    return Congruence(q.groupoid, EquivRelation.from_pairs(len(blocks), pairs))
+    return Congruence(
+        q.groupoid,
+        EquivRelation.from_keys(
+            upsilon.rel.block_of[block[0]] for block in rho.rel.blocks()
+        ),
+    )
 
 
 def syntactic_congruence(g: Groupoid, Q: Iterable[int]) -> Congruence:
@@ -474,12 +464,11 @@ def syntactic_congruence(g: Groupoid, Q: Iterable[int]) -> Congruence:
         raise AlgebraError("the saturated subset must be nonempty")
     if not all(isinstance(a, int) and 0 <= a < g.order for a in members):
         raise AlgebraError("subset not within the carrier")
-    if not is_left_invertive(g) or not check_identity(g, *SWAP_LAW):
+    if not is_ag_star_star(g):
         raise NotAgStarStar("the probe relation is a congruence only under both identities")
     table = g.table
-    signature = {}
-    for a in g.elements:
-        signature[a] = (
+    signatures = [
+        (
             a in members,
             tuple(table[x][a] in members for x in g.elements),
             tuple(table[a][y] in members for y in g.elements),
@@ -489,10 +478,9 @@ def syntactic_congruence(g: Groupoid, Q: Iterable[int]) -> Congruence:
                 for y in g.elements
             ),
         )
-    grouped: dict = {}
-    for a in g.elements:
-        grouped.setdefault(signature[a], []).append(a)
-    return Congruence(g, EquivRelation.from_blocks(g.order, grouped.values()))
+        for a in g.elements
+    ]
+    return Congruence(g, EquivRelation.from_keys(signatures))
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:

@@ -101,22 +101,23 @@ def are_isomorphic(g: Groupoid, h: Groupoid) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-# incremental law checks over a flat table, -1 meaning unknown, each
-# compiled from the law's term (see magma._incremental_source)
+# incremental checks over a flat table, -1 meaning unknown, run once
+# cell (r, c) holds v: each law's is compiled from its term (see
+# magma._incremental_source), and distinct-columns keeps v out of the
+# rest of column c
 _LAW_CHECKS = {
     "left-invertive": _incremental_check(*LEFT_INVERTIVE),
     "swap": _incremental_check(*SWAP_LAW),
     "associative": _incremental_check(*ASSOCIATIVE),
     "commutative": _incremental_check(*COMMUTATIVE),
+    "distinct-columns": lambda T, n, r, c, v: all(
+        T[x * n + c] != v for x in range(n) if x != r
+    ),
 }
 
 
-def _assign(T, n, pos, v, checks, column_distinct):
+def _assign(T, n, pos, v, checks):
     r, c = divmod(pos, n)
-    if column_distinct:
-        for x in range(n):
-            if T[x * n + c] == v:
-                return False
     T[pos] = v
     for fn in checks:
         if not fn(T, n, r, c, v):
@@ -125,7 +126,7 @@ def _assign(T, n, pos, v, checks, column_distinct):
     return True
 
 
-def _complete(T, n, free, start, stop, m, checks, column_distinct, out):
+def _complete(T, n, free, start, stop, m, checks, out):
     """Fill free[start:stop] and record each (table, m) reached.
 
     m is the largest element mentioned by the cells filled so far: their
@@ -139,33 +140,33 @@ def _complete(T, n, free, start, stop, m, checks, column_distinct, out):
     pos = free[start]
     m = max(m, *divmod(pos, n))
     for v in range(min(n, m + 2)):
-        if _assign(T, n, pos, v, checks, column_distinct):
-            _complete(T, n, free, start + 1, stop, max(m, v), checks, column_distinct, out)
+        if _assign(T, n, pos, v, checks):
+            _complete(T, n, free, start + 1, stop, max(m, v), checks, out)
             T[pos] = -1
 
 
 def _subtree_task(args):
-    n, laws, snapshot, m, free, start, column_distinct = args
+    n, laws, snapshot, m, free, start = args
     checks = tuple(_LAW_CHECKS[name] for name in laws)
     out = []
-    _complete(list(snapshot), n, free, start, len(free), m, checks, column_distinct, out)
+    _complete(list(snapshot), n, free, start, len(free), m, checks, out)
     return [table for table, _ in out]
 
 
-def _search_tables(n, laws, prefill=None, column_distinct=False, workers=None):
+def _search_tables(n, laws, prefill=None, workers=None):
     """Tables satisfying the given laws: at least one of each isomorphism
     class, not every labeled table.
 
     Cells are filled in order of (larger index, position), each trying
     only the values 0..m+1 (see _complete). This is sound because the
-    laws and the distinct-column condition survive every relabeling and
-    the prefill survives every relabeling that fixes 0. The order of the
-    result is deterministic and independent of the worker count.
+    checks survive every relabeling and the prefill survives every
+    relabeling that fixes 0. The order of the result is deterministic
+    and independent of the worker count.
     """
     checks = tuple(_LAW_CHECKS[name] for name in laws)
     T = [-1] * (n * n)
     for pos in sorted(prefill or ()):
-        if not _assign(T, n, pos, prefill[pos], checks, column_distinct):
+        if not _assign(T, n, pos, prefill[pos], checks):
             return []
     free = sorted(
         (p for p in range(n * n) if T[p] < 0), key=lambda p: (max(divmod(p, n)), p)
@@ -175,10 +176,10 @@ def _search_tables(n, laws, prefill=None, column_distinct=False, workers=None):
     else:
         depth = len(free)
     prefixes = []
-    _complete(T, n, free, 0, depth, -1, checks, column_distinct, prefixes)
+    _complete(T, n, free, 0, depth, -1, checks, prefixes)
     if depth == len(free):
         return [table for table, _ in prefixes]
-    tasks = [(n, laws, snap, m, free, depth, column_distinct) for snap, m in prefixes]
+    tasks = [(n, laws, snap, m, free, depth) for snap, m in prefixes]
     size = _pool_size(workers, len(tasks))
     if size <= 1:
         chunks = map(_subtree_task, tasks)
@@ -228,7 +229,7 @@ def _ag_group_reps(n) -> tuple:
     prefilled and only tables with distinct columns are explored.
     """
     prefill = {j: j for j in range(n)}
-    found = _search_tables(n, ("left-invertive", "swap"), prefill, column_distinct=True)
+    found = _search_tables(n, ("distinct-columns", "left-invertive", "swap"), prefill)
     return tuple(sorted({canonical_table(_rows(t, n)) for t in found}))
 
 

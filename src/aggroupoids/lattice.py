@@ -27,7 +27,7 @@ form" would make those checks restate themselves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 from .errors import AlgebraError, NotASublattice, OrderTooLarge
@@ -50,12 +50,7 @@ from .congruences import (
     quotient,
     trace,
 )
-from .canonical import (
-    _compose,
-    _grouped_by_idempotent,
-    _ordered_pairs,
-    max_idempotent_separating,
-)
+from .canonical import _grouped_by_idempotent, max_idempotent_separating
 from .structure import congruence_of_normal, is_normal
 
 __all__ = [
@@ -76,16 +71,6 @@ __all__ = [
     "format_lattice_report",
 ]
 
-MARKER_NAMES = (
-    "idempotent-separating",
-    "idempotent-pure",
-    "semilattice",
-    "ag-group",
-    "e-unitary",
-    "fundamental",
-    "e-disjunctive",
-)
-
 
 @dataclass(frozen=True)
 class CongruenceMarkers:
@@ -99,16 +84,9 @@ class CongruenceMarkers:
 
     def names(self) -> tuple[str, ...]:
         """Kebab-case names of the markers that hold."""
-        values = (
-            self.idempotent_separating,
-            self.idempotent_pure,
-            self.semilattice,
-            self.ag_group,
-            self.e_unitary,
-            self.fundamental,
-            self.e_disjunctive,
+        return tuple(
+            f.name.replace("_", "-") for f in fields(self) if getattr(self, f.name)
         )
-        return tuple(n for n, v in zip(MARKER_NAMES, values) if v)
 
 
 @dataclass(frozen=True)
@@ -164,19 +142,14 @@ def _markers_for(
 ) -> CongruenceMarkers:
     g = c.groupoid
     ids = idempotents(g)
-    separating = all(
-        not c.related(e, f) for e, f in itertools.combinations(ids, 2)
-    )
-    id_set = set(ids)
-    pure = all(
-        set(block) <= id_set
-        for block in c.rel.blocks()
-        if set(block) & id_set
-    )
+    labels = c.rel.block_of
+    id_blocks = {labels[e] for e in ids}
     q = quotient(c).groupoid
     return CongruenceMarkers(
-        idempotent_separating=separating,
-        idempotent_pure=pure,
+        idempotent_separating=len(id_blocks) == len(ids),
+        idempotent_pure=not any(
+            labels[a] in id_blocks for a in g.elements if a not in ids
+        ),
         semilattice=is_semilattice(q),
         ag_group=is_ag_group(q),
         e_unitary=_is_e_unitary(q),
@@ -308,6 +281,22 @@ def satisfies_modular_law(report: LatticeReport, subset: Sequence[int]) -> bool:
                 if report.join[x][report.meet[y][z]] != report.meet[report.join[x][y]][z]:
                     return False
     return True
+
+
+def _ordered_pairs(rel: EquivRelation) -> frozenset:
+    return frozenset(
+        (a, b)
+        for a in range(rel.order)
+        for b in range(rel.order)
+        if rel.related(a, b)
+    )
+
+
+def _compose(p, q) -> frozenset:
+    by_first: dict = {}
+    for b, c in q:
+        by_first.setdefault(b, []).append(c)
+    return frozenset((a, c) for a, b in p for c in by_first.get(b, ()))
 
 
 def commuting_check(report: LatticeReport, subset: Sequence[int]) -> bool:

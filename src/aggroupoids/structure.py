@@ -15,6 +15,7 @@ from .errors import (
     AlgebraError,
     InvalidStructure,
     NotCommutativeInverseSemigroup,
+    NotCompletelyInverse,
     NotNormal,
     ParseError,
 )
@@ -24,7 +25,6 @@ from .magma import (
     _parse_mag_lines,
     format_mag,
     idempotents,
-    inverses_of,
     is_ag_group,
     is_associative,
     is_commutative,
@@ -198,23 +198,20 @@ def decompose(g: Groupoid) -> StrongSemilattice:
 
 def derived_groupoid(g: Groupoid) -> Groupoid:
     """Twist a commutative inverse semigroup into a completely inverse
-    carrier by multiplying through the left factor's inverse."""
+    carrier by multiplying through the left factor's inverse.
+
+    A commutative semigroup satisfies both defining identities of the
+    completely inverse class and commutes with any inverse, so the
+    class's inverse search can fail here only for a missing or a
+    repeated inverse."""
     if not is_commutative(g):
         raise NotCommutativeInverseSemigroup("the carrier is not commutative")
     if not is_associative(g):
         raise NotCommutativeInverseSemigroup("the carrier is not associative")
-    inverse = []
-    for a in g.elements:
-        candidates = inverses_of(g, a)
-        if not candidates:
-            raise NotCommutativeInverseSemigroup(
-                f"element {g.names[a]!r} has no inverse"
-            )
-        if len(candidates) > 1:
-            raise NotCommutativeInverseSemigroup(
-                f"element {g.names[a]!r} has {len(candidates)} inverses"
-            )
-        inverse.append(candidates[0])
+    try:
+        inverse = require_completely_inverse(g)
+    except NotCompletelyInverse as exc:
+        raise NotCommutativeInverseSemigroup(str(exc)) from exc
     return Groupoid.from_function(g.names, lambda a, b: g.table[inverse[a]][b])
 
 

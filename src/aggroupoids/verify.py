@@ -235,9 +235,9 @@ def _quotient_of(report, i):
 
 def _sandwich(outer, inner):
     """The related pairs of outer o inner o outer."""
-    around = _canonical._ordered_pairs(outer)
-    return _canonical._compose(
-        _canonical._compose(around, _canonical._ordered_pairs(inner)), around
+    around = _lattice._ordered_pairs(outer)
+    return _lattice._compose(
+        _lattice._compose(around, _lattice._ordered_pairs(inner)), around
     )
 
 
@@ -1410,7 +1410,7 @@ def _(ctx, g, report, i):
     closure = _canonical.ag_group_closure(c)
     if closure.rel != join:
         return _bad(g, "closure differs from the join")
-    if _sandwich(sigma.rel, c.rel) != _canonical._ordered_pairs(join):
+    if _sandwich(sigma.rel, c.rel) != _lattice._ordered_pairs(join):
         return _bad(g, "the join is not the two-sided sandwich")
     ids = idempotents(g)
     for a in g.elements:
@@ -1569,7 +1569,7 @@ def _(ctx, g, report, i):
     join = c.rel.join(mu.rel)
     if _canonical.semilattice_closure(c).rel != join:
         return _bad(g, "closure differs from the join")
-    if _sandwich(mu.rel, c.rel) != _canonical._ordered_pairs(join):
+    if _sandwich(mu.rel, c.rel) != _lattice._ordered_pairs(join):
         return _bad(g, "the join is not the two-sided sandwich")
     inv = _magma.require_completely_inverse(g)
     for a in g.elements:

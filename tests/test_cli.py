@@ -91,6 +91,15 @@ def test_derive(f1_path):
     assert out == F1_TEXT  # every element is self-inverse here
 
 
+def test_derive_rejects_a_missing_inverse(tmp_path):
+    null = tmp_path / "null.mag"
+    null.write_text("2\na b\na a\na a\n")
+    code, out, err = run(["derive", str(null)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: element 'b' has no inverse\n"
+
+
 def test_stdin_dash(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(F1_TEXT))
     code, out, _ = run(["check", "-"])

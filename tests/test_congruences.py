@@ -74,6 +74,34 @@ def test_from_pairs_closes_transitively(n, data):
                     assert rel.related(a, c)
 
 
+@given(st.lists(st.sampled_from("xyz"), min_size=1, max_size=6))
+def test_from_keys_relates_exactly_the_equal_keys(keys):
+    rel = EquivRelation.from_keys(keys)
+    assert rel.order == len(keys)
+    for a in range(len(keys)):
+        for b in range(len(keys)):
+            assert rel.related(a, b) == (keys[a] == keys[b])
+
+
+@given(paired_relations())
+def test_meet_relates_the_common_pairs(rels):
+    p, q, _ = rels
+    assert set(p.meet(q).pairs()) == set(p.pairs()) & set(q.pairs())
+
+
+@given(relations(), st.data())
+def test_restrict_reads_the_sorted_subset(rel, data):
+    subset = data.draw(
+        st.lists(st.integers(0, rel.order - 1), min_size=1, unique=True)
+    )
+    members = sorted(subset)
+    restricted = rel.restrict(subset)
+    assert restricted.order == len(members)
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            assert restricted.related(i, j) == rel.related(a, b)
+
+
 @given(paired_relations())
 def test_meet_join_are_lattice_operations(rels):
     p, q, r = rels

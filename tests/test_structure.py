@@ -138,3 +138,12 @@ def test_derived_groupoid_fixes_a_self_inverse_carrier(f1):
 def test_derived_groupoid_rejects_noncommutative_input(f2):
     with pytest.raises(NotCommutativeInverseSemigroup):
         derived_groupoid(f2)
+
+
+def test_derived_groupoid_rejects_a_missing_inverse():
+    # the null semigroup on {a, b}: commutative and associative, but
+    # b*x*b = a for every x
+    null = Groupoid(("a", "b"), ((0, 0), (0, 0)))
+    message = "^element 'b' has no inverse$"
+    with pytest.raises(NotCommutativeInverseSemigroup, match=message):
+        derived_groupoid(null)
