@@ -144,17 +144,24 @@ class EquivRelation:
         for block in self.blocks():
             yield from itertools.combinations(block, 2)
 
+    def _require_same_order(self, other: "EquivRelation") -> None:
+        if other.order != self.order:
+            raise AlgebraError("partition does not match the carrier size")
+
     def leq(self, other: "EquivRelation") -> bool:
         """Refinement: every block of self lies inside a block of other."""
+        self._require_same_order(other)
         return all(
             other.block_of[x] == other.block_of[self.block_of[x]]
             for x in range(self.order)
         )
 
     def meet(self, other: "EquivRelation") -> "EquivRelation":
-        return EquivRelation.from_keys(zip(self.block_of, other.block_of, strict=True))
+        self._require_same_order(other)
+        return EquivRelation.from_keys(zip(self.block_of, other.block_of))
 
     def join(self, other: "EquivRelation") -> "EquivRelation":
+        self._require_same_order(other)
         return EquivRelation.from_pairs(
             self.order,
             [(x, self.block_of[x]) for x in range(self.order)]

@@ -24,12 +24,24 @@ labeled table.
 Tables enumerate up to isomorphism by default: each found table is
 replaced by the least relabeling and deduplicated. Labeled enumeration
 lists every relabeling of each class representative.
+
+Relabelings are computed on flat row-major tables held as bytes. For
+each permutation of an order, `_relabelers` keeps one
+`operator.itemgetter` that moves every cell to its relabeled position
+and one 256-byte `bytes.translate` map that relabels the values, so a
+relabeling is two C-level calls. Row-major order on flat tables is the
+order on tuples of rows, so the least relabeling is the least bytes.
+The table of relabelers is built once per order, the first time that
+order is relabeled, and kept: it holds n! entries, about 70 kB at
+order 5, 3 MB at order 7, 35 MB (built in about half a second) at
+order 8, and more than ten times that at order 9.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,23 +84,44 @@ class EnumerationSpec:
             raise AlgebraError(f"unknown class {self.class_filter!r}")
 
 
-def _relabelings(table):
-    """The table relabeled by each permutation of its elements, with
-    repeats when it has automorphisms."""
-    n = len(table)
-    for perm in itertools.permutations(range(n)):
-        relabeled = [[0] * n for _ in range(n)]
-        for i in range(n):
-            row = table[i]
-            target = relabeled[perm[i]]
-            for j in range(n):
-                target[perm[j]] = perm[row[j]]
-        yield tuple(tuple(row) for row in relabeled)
+@lru_cache(maxsize=None)
+def _relabelers(n) -> tuple:
+    """(cells, values) for each permutation p of 0..n-1: cells gathers a
+    flat table so that new cell (a, b) reads old cell (p^-1 a, p^-1 b),
+    and values is the bytes.translate map x -> p(x)."""
+    relabelers = []
+    for p in itertools.permutations(range(n)):
+        inverse = sorted(range(n), key=p.__getitem__)  # inverse[p[i]] == i
+        sources = [inverse[a] * n + inverse[b] for a in range(n) for b in range(n)]
+        # itemgetter of one index returns a scalar; a slice keeps a sequence
+        cells = operator.itemgetter(*sources) if n > 1 else operator.itemgetter(slice(1))
+        relabelers.append((cells, bytes(p) + bytes(range(n, 256))))
+    return tuple(relabelers)
+
+
+def _relabelings(flat, n) -> list:
+    """A flat table relabeled by each permutation of its elements, as
+    bytes, with repeats when it has automorphisms."""
+    return [bytes(cells(flat)).translate(values) for cells, values in _relabelers(n)]
+
+
+def _flat(table) -> bytes:
+    return bytes(itertools.chain.from_iterable(table))
+
+
+def _rows(flat, n) -> tuple:
+    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
 def canonical_table(table) -> tuple:
     """Least relabeling of a table; equal exactly on isomorphic inputs."""
-    return min(_relabelings(table))
+    n = len(table)
+    return _rows(min(_relabelings(_flat(table), n)), n)
+
+
+def _fold(found, n) -> tuple:
+    """Canonical tables of flat search output, sorted, without repeats."""
+    return tuple(_rows(t, n) for t in sorted({min(_relabelings(f, n)) for f in found}))
 
 
 def canonical_form(g: Groupoid) -> tuple:
@@ -195,10 +228,6 @@ def _pool_size(workers, tasks):
     return min(workers, tasks, os.cpu_count() or 1)
 
 
-def _rows(flat, n) -> tuple:
-    return tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-
-
 def _groupoid_from_flat(flat, n) -> Groupoid:
     return Groupoid(tuple(str(i) for i in range(n)), _rows(flat, n))
 
@@ -230,7 +259,7 @@ def _ag_group_reps(n) -> tuple:
     """
     prefill = {j: j for j in range(n)}
     found = _search_tables(n, ("distinct-columns", "left-invertive", "swap"), prefill)
-    return tuple(sorted({canonical_table(_rows(t, n)) for t in found}))
+    return _fold(found, n)
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +267,7 @@ def _semilattice_reps(n) -> tuple:
     """Canonical tables of the semilattices of one order."""
     prefill = {i * n + i: i for i in range(n)}
     found = _search_tables(n, ("commutative", "associative"), prefill)
-    return tuple(sorted({canonical_table(_rows(t, n)) for t in found}))
+    return _fold(found, n)
 
 
 @lru_cache(maxsize=None)
@@ -381,11 +410,12 @@ def enumerate_groupoids(spec: EnumerationSpec, strategy=None, workers=None) -> t
         reps = _ag_group_reps(n)
     else:
         found = _searched_tables(n, spec.class_filter, workers)
-        reps = sorted({canonical_table(_rows(t, n)) for t in found})
+        reps = _fold(found, n)
     if spec.up_to_isomorphism:
         tables = reps
     else:
-        tables = sorted({t for rep in reps for t in _relabelings(rep)})
+        labeled = {t for rep in reps for t in _relabelings(_flat(rep), n)}
+        tables = [_rows(t, n) for t in sorted(labeled)]
     names = tuple(str(i) for i in range(n))
     return tuple(Groupoid(names, table) for table in tables)
 

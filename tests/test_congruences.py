@@ -24,6 +24,7 @@ from aggroupoids import (
     trace,
 )
 from aggroupoids.errors import (
+    AlgebraError,
     InvalidCongruencePair,
     NotACongruence,
     NotARefinement,
@@ -129,6 +130,15 @@ def test_leq_matches_pair_containment(rel):
     assert rel.leq(rel)
     assert set(identity.pairs()) == set()
     assert len(universal.blocks()) == 1
+
+
+@pytest.mark.parametrize("method", ["leq", "meet", "join"])
+@pytest.mark.parametrize("orders", [(2, 3), (3, 2)])
+def test_relation_operations_reject_another_order(method, orders):
+    small, large = orders
+    left, right = EquivRelation.identity(small), EquivRelation.universal(large)
+    with pytest.raises(AlgebraError, match="partition does not match the carrier size"):
+        getattr(left, method)(right)
 
 
 @given(relations())

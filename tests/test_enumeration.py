@@ -136,7 +136,7 @@ def test_stream_is_sorted_canonically():
 @settings(max_examples=40)
 @given(st.data())
 def test_canonical_table_is_relabeling_invariant(data):
-    n = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
     rows = data.draw(
         st.lists(
             st.lists(st.integers(0, n - 1), min_size=n, max_size=n),

@@ -1,18 +1,23 @@
-"""The symmetry-broken table search against a plain reference search.
+"""The symmetry-broken table search against a plain reference search,
+and the canonical form against a plain relabeling.
 
-The reference fills the table in row-major order and tries every value
-in every cell, so it lists every labeled table of a class. It shares
-only the incremental law checks (`_LAW_CHECKS`) with the library: no
-cell order, value limit, isomorph fold or relabeling expansion.
+The reference search fills the table in row-major order and tries every
+value in every cell, so it lists every labeled table of a class. It
+shares only the incremental law checks (`_LAW_CHECKS`) with the library:
+no cell order, value limit, isomorph fold or relabeling expansion. The
+reference canonical form builds every relabeling as row lists, one cell
+at a time, and takes the least.
 """
 
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggroupoids import EnumerationSpec, classify, enumerate_groupoids
-from aggroupoids.enumeration import CLASSES, _LAW_CHECKS, _search_tables
+from aggroupoids.enumeration import CLASSES, _LAW_CHECKS, _search_tables, canonical_table
 from aggroupoids.magma import Groupoid
 
 
@@ -112,3 +117,40 @@ def test_split_search_explores_the_same_tree():
     for labeled in (False, True):
         spec = EnumerationSpec(4, "ag-star-star", up_to_isomorphism=not labeled)
         assert enumerate_groupoids(spec, workers=2) == enumerate_groupoids(spec)
+
+
+def _reference_canonical(table):
+    """The least of the table's relabelings, each built cell by cell."""
+    n = len(table)
+    relabelings = []
+    for perm in itertools.permutations(range(n)):
+        relabeled = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                relabeled[perm[i]][perm[j]] = perm[table[i][j]]
+        relabelings.append(tuple(tuple(row) for row in relabeled))
+    return min(relabelings)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_canonical_table_matches_the_reference(data):
+    n = data.draw(st.integers(1, 5))
+    cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    table = tuple(map(tuple, data.draw(st.lists(cells, min_size=n, max_size=n))))
+    assert canonical_table(table) == _reference_canonical(table)
+
+
+def test_canonical_table_of_order_1():
+    # a one-cell gather must still give a sequence, not a scalar
+    assert canonical_table(((0,),)) == _reference_canonical(((0,),)) == ((0,),)
+
+
+def test_canonical_table_matches_the_reference_on_the_order_4_ag_search():
+    # every search output, not only the representatives it folds to
+    found = _search_tables(4, ("left-invertive",))
+    tables = {tuple(tuple(t[i * 4:(i + 1) * 4]) for i in range(4)) for t in found}
+    expected = {t: _reference_canonical(t) for t in tables}
+    assert all(canonical_table(t) == c for t, c in expected.items())
+    reps = {g.table for g in enumerate_groupoids(EnumerationSpec(4, "ag"))}
+    assert reps == set(expected.values())

@@ -7,7 +7,8 @@ non-zero, such as ``analyze`` on a table that is not completely inverse,
 adds a last line with its exit code and stderr. ``enumerate.sha256``
 holds one sha256 line per ``enumerate`` run instead, since the labeled
 outputs are large: every class at orders 1-4, plain and ``--labeled``,
-and the two classes with a higher bound at order 5. A change that must keep the output
+and the two classes with a higher bound at order 5; two of those runs
+are repeated in a ``python -O`` subprocess. A change that must keep the output
 identical leaves these files alone; a change that alters the output on
 purpose rewrites them with
 
@@ -19,7 +20,12 @@ so that the diff of tests/golden shows what moved.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from aggroupoids import cli
 from aggroupoids.enumeration import CLASSES
@@ -78,6 +84,27 @@ def test_stdout_matches_the_golden_files():
 
 def test_enumerate_stdout_matches_the_digests():
     assert digest_lines().splitlines() == DIGESTS.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--order", "4", "--class", "ag"],
+        ["enumerate", "--order", "3", "--class", "ag-star-star", "--labeled"],
+    ],
+)
+def test_enumerate_under_optimize_flag_matches_the_digests(argv):
+    # -O strips assert statements; the output must not depend on them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "aggroupoids.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = f"{hashlib.sha256(proc.stdout).hexdigest()}  {' '.join(argv)}"
+    assert line in DIGESTS.read_text().splitlines()
 
 
 if __name__ == "__main__":
