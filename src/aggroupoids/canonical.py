@@ -76,7 +76,7 @@ def max_idempotent_separating(g: Groupoid) -> Congruence:
     """Partition by the idempotent a*a^-1; also the least congruence
     with a semilattice quotient."""
     # each idempotent labels its own block
-    return Congruence(g, _grouped_by_idempotent(g, g.elements))
+    return Congruence._trusted(g, _grouped_by_idempotent(g, g.elements))
 
 
 def least_ag_group_congruence(g: Groupoid) -> Congruence:
@@ -111,7 +111,7 @@ def trace_max(rho: Congruence) -> Congruence:
     """Largest congruence with the same trace: relate a, b whenever
     a*a^-1 and b*b^-1 were already related."""
     g = rho.groupoid
-    return Congruence(g, _grouped_by_idempotent(g, rho.rel.block_of))
+    return Congruence._trusted(g, _grouped_by_idempotent(g, rho.rel.block_of))
 
 
 def trace_min(rho: Congruence) -> Congruence:

@@ -206,7 +206,15 @@ def format_partition(rel: EquivRelation, names: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class Congruence:
-    """An equivalence relation compatible with a groupoid's product."""
+    """An equivalence relation compatible with a groupoid's product.
+
+    The public constructor Congruence(g, rel) validates: it raises
+    NotACongruence with a separating translation when rel is not
+    compatible. The private Congruence._trusted(g, rel) does not; the
+    library uses it only where rel is compatible by construction (the
+    lattice scan, generated congruences, meets and joins) or by a
+    theorem the verify battery tests on its own.
+    """
 
     groupoid: Groupoid
     rel: EquivRelation
@@ -222,6 +230,15 @@ class Congruence:
                 f"{g.names[a]} ~ {g.names[b]} but {side} translation by "
                 f"{g.names[c]} separates them"
             )
+
+    @classmethod
+    def _trusted(cls, g: Groupoid, rel: EquivRelation) -> "Congruence":
+        """A congruence built without the compatibility test, for a
+        relation of g's order known to be compatible."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "groupoid", g)
+        object.__setattr__(c, "rel", rel)
+        return c
 
     def related(self, a: int, b: int) -> bool:
         return self.rel.related(a, b)
@@ -279,7 +296,8 @@ def congruence_generated_by(g: Groupoid, pairs: Iterable[tuple[int, int]]) -> Co
             + [(table[a][c], table[b][c]) for a, b in links for c in range(n)],
         )
         if grown == rel:
-            return Congruence(g, rel)
+            # closed under translations, so compatible
+            return Congruence._trusted(g, rel)
         rel = grown
 
 
@@ -380,14 +398,15 @@ def _congruence_of_rule(g: Groupoid, related) -> Congruence:
 
     Each b is labelled by the least a < b with related(a, b), or by b
     itself: the least member of its class when the rule is an
-    equivalence. Every caller's rule is one, a theorem the battery
-    checks for each; the rule is not closed, so one that is not
-    transitive gives a wrong partition or an AlgebraError.
+    equivalence. Every caller's rule is one, and a congruence, theorems
+    the battery checks for each; the rule is neither closed nor tested
+    for compatibility, so one that is not transitive gives a wrong
+    partition or an AlgebraError.
     """
     labels = tuple(
         next((a for a in range(b) if related(a, b)), b) for b in g.elements
     )
-    return Congruence(g, EquivRelation(g.order, labels))
+    return Congruence._trusted(g, EquivRelation(g.order, labels))
 
 
 def _kernel_trace_congruence(g: Groupoid, pair: CongruencePair) -> Congruence:
@@ -443,14 +462,20 @@ def quotient(c: Congruence) -> Quotient:
     return Quotient(Groupoid(names, table), projection)
 
 
-def induced_congruence(upsilon: Congruence, rho: Congruence) -> Congruence:
-    """Push a coarser congruence down to the quotient by a finer one."""
-    if upsilon.groupoid is not rho.groupoid and upsilon.groupoid != rho.groupoid:
+def _require_same_groupoid(c1: Congruence, c2: Congruence) -> None:
+    if c1.groupoid is not c2.groupoid and c1.groupoid != c2.groupoid:
         raise AlgebraError("congruences live on different groupoids")
+
+
+def induced_congruence(upsilon: Congruence, rho: Congruence) -> Congruence:
+    """Push a coarser congruence down to the quotient by a finer one;
+    the image is compatible because upsilon is (thm-quotient-mu-lifts
+    catches an image that is not)."""
+    _require_same_groupoid(upsilon, rho)
     if not rho.rel.leq(upsilon.rel):
         raise NotARefinement("the quotient congruence does not refine the other")
     q = quotient(rho)
-    return Congruence(
+    return Congruence._trusted(
         q.groupoid,
         EquivRelation.from_keys(
             upsilon.rel.block_of[block[0]] for block in rho.rel.blocks()
@@ -487,13 +512,16 @@ def syntactic_congruence(g: Groupoid, Q: Iterable[int]) -> Congruence:
         )
         for a in g.elements
     ]
-    return Congruence(g, EquivRelation.from_keys(signatures))
+    return Congruence._trusted(g, EquivRelation.from_keys(signatures))
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
-    return Congruence(c1.groupoid, c1.rel.meet(c2.rel))
+    """Meet in the congruence lattice: the intersection."""
+    _require_same_groupoid(c1, c2)
+    return Congruence._trusted(c1.groupoid, c1.rel.meet(c2.rel))
 
 
 def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
     """Join in the congruence lattice: transitive closure of the union."""
-    return Congruence(c1.groupoid, c1.rel.join(c2.rel))
+    _require_same_groupoid(c1, c2)
+    return Congruence._trusted(c1.groupoid, c1.rel.join(c2.rel))

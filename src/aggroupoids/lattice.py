@@ -214,7 +214,8 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     ]
     labels.sort(key=lambda block_of: (-len(set(block_of)), block_of))
     rels = [EquivRelation(g.order, block_of) for block_of in labels]
-    congruences = tuple(Congruence(g, rel) for rel in rels)
+    # the scan has just tested each of these labels for compatibility
+    congruences = tuple(Congruence._trusted(g, rel) for rel in rels)
     masks = [_pair_mask(rel) for rel in rels]
     leq = tuple(tuple(p | q == q for q in masks) for p in masks)
     up = [sum(1 << j for j, above in enumerate(row) if above) for row in leq]

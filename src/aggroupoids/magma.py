@@ -9,12 +9,16 @@ library targets (n <= 8 or so) keep the O(n^3) and O(n^4) scans small.
 _incremental_check compiles it for the table search in enumeration: a
 check over a partly filled table that visits only the instances one new
 cell can complete.
+
+The inverse map of a completely inverse table, or the message saying why
+there is none, is computed once per Groupoid object, on first use, and
+kept on it; require_completely_inverse and is_completely_inverse read it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -87,6 +91,10 @@ class Groupoid:
                 if not isinstance(value, int) or not 0 <= value < n:
                     raise AlgebraError(f"table entry {value!r} out of range")
         object.__setattr__(self, "elements", _element_range(n))
+
+    def __getstate__(self):
+        # the fields only: the inverse map kept by _inverse_map stays out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def order(self) -> int:
@@ -351,8 +359,24 @@ def is_regular(g: Groupoid) -> bool:
     return all(inverses_of(g, a) for a in g.elements)
 
 
-def require_completely_inverse(g: Groupoid) -> tuple[int, ...]:
-    """Return the inverse map a -> a^-1, or explain why there is none.
+def _inverse_map(g: Groupoid) -> "tuple[int, ...] | str":
+    """The inverse map of g, or the message saying why there is none,
+    computed on first use and kept on g.
+
+    It is kept as the private attribute _inverse, which is not a field,
+    so equality, hash, repr and pickles ignore it. object.__setattr__
+    stores it with the fields; a cached_property would give g a separate
+    __dict__, which costs memory and slows every later attribute read.
+    """
+    inverse = getattr(g, "_inverse", None)
+    if inverse is None:
+        inverse = _find_inverse_map(g)
+        object.__setattr__(g, "_inverse", inverse)
+    return inverse
+
+
+def _find_inverse_map(g: Groupoid) -> "tuple[int, ...] | str":
+    """The inverse map a -> a^-1, or the message saying why there is none.
 
     Checks, in order: both defining identities, existence of inverses,
     uniqueness, and that each element commutes with its inverse. The
@@ -360,36 +384,42 @@ def require_completely_inverse(g: Groupoid) -> tuple[int, ...]:
     cheap and turns a theorem into a guard.
     """
     if not is_left_invertive(g):
-        raise NotCompletelyInverse("the left invertive law (xy)z = (zy)x fails")
+        return "the left invertive law (xy)z = (zy)x fails"
     if not check_identity(g, *SWAP_LAW):
-        raise NotCompletelyInverse("the identity x(yz) = y(xz) fails")
+        return "the identity x(yz) = y(xz) fails"
     inverse = []
     for a in g.elements:
         candidates = inverses_of(g, a)
         if not candidates:
-            raise NotCompletelyInverse(f"element {g.names[a]!r} has no inverse")
+            return f"element {g.names[a]!r} has no inverse"
         if len(candidates) > 1:
-            raise NotCompletelyInverse(
-                f"element {g.names[a]!r} has {len(candidates)} inverses"
-            )
+            return f"element {g.names[a]!r} has {len(candidates)} inverses"
         x = candidates[0]
         if g.table[a][x] != g.table[x][a]:
-            raise NotCompletelyInverse(
-                f"element {g.names[a]!r} does not commute with its inverse"
-            )
+            return f"element {g.names[a]!r} does not commute with its inverse"
         inverse.append(x)
     return tuple(inverse)
+
+
+def require_completely_inverse(g: Groupoid) -> tuple[int, ...]:
+    """Return the inverse map a -> a^-1, or raise NotCompletelyInverse
+    saying why there is none (see _find_inverse_map for the checks).
+
+    The map, or the failure message, is computed once per carrier
+    object and kept on it, so repeated calls are lookups; each failing
+    call raises a fresh exception with the same message.
+    """
+    inverse = _inverse_map(g)
+    if isinstance(inverse, str):
+        raise NotCompletelyInverse(inverse)
+    return inverse
 
 
 def is_completely_inverse(g: Groupoid) -> bool:
     """Both defining identities hold and every element has exactly one
     inverse, which commutes with it; require_completely_inverse is the
-    definition."""
-    try:
-        require_completely_inverse(g)
-    except NotCompletelyInverse:
-        return False
-    return True
+    definition, and both read the same per-carrier result."""
+    return not isinstance(_inverse_map(g), str)
 
 
 def _ag_group_by_solutions(g: Groupoid) -> bool:

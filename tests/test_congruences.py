@@ -8,6 +8,7 @@ from aggroupoids import (
     Congruence,
     CongruencePair,
     EquivRelation,
+    all_congruences,
     congruence_generated_by,
     congruence_join,
     congruence_meet,
@@ -30,6 +31,7 @@ from aggroupoids.errors import (
     NotARefinement,
     ParseError,
 )
+from aggroupoids.samples import chain_semilattice
 
 
 def relations(max_order=6):
@@ -176,6 +178,25 @@ def test_congruence_rejects_non_compatible_relation(f1):
     assert not is_congruence(f1, bad)
     with pytest.raises(NotACongruence):
         Congruence(f1, bad)
+
+
+def test_the_public_constructor_validates_after_a_scan(f1, f1_report):
+    # the lattice scan builds its congruences without re-testing them;
+    # Congruence(g, rel) keeps the test and its message
+    assert all_congruences(f1).congruences == f1_report.congruences
+    bad = parse_partition("a b | e | f", f1.names)
+    with pytest.raises(NotACongruence) as err:
+        Congruence(f1, bad)
+    assert str(err.value) == "a ~ b but left translation by b separates them"
+
+
+def test_meet_and_join_need_one_groupoid(f1_report):
+    # both build their result without a compatibility test
+    chain = chain_semilattice(4)
+    other = Congruence(chain, EquivRelation.identity(4))
+    for combine in (congruence_meet, congruence_join):
+        with pytest.raises(AlgebraError, match="different groupoids"):
+            combine(f1_report.congruences[0], other)
 
 
 def test_generated_congruence_is_least(f1, f1_report):

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import pickle
 import re
 import tokenize
 
@@ -31,6 +32,7 @@ from aggroupoids.magma import (
     idempotent_semilattice,
     is_ag,
     is_ag_star_star,
+    is_completely_inverse,
     left_identities,
     require_completely_inverse,
     same_operation,
@@ -208,6 +210,59 @@ def test_require_completely_inverse_rejects_band():
     assert inverses_of(g, 0) == (0, 1)
     with pytest.raises(NotCompletelyInverse):
         require_completely_inverse(g)
+
+
+def test_inverse_map_is_computed_once_per_carrier(f1):
+    g = Groupoid(f1.names, f1.table)
+    first = require_completely_inverse(g)
+    assert require_completely_inverse(g) == first == (0, 1, 2, 3)
+    assert require_completely_inverse(g) is first
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["a", "a"], ["a", "a"]], "element 'b' has no inverse"),
+        ([["a", "a"], ["b", "b"]], "the left invertive law (xy)z = (zy)x fails"),
+    ],
+)
+def test_a_failing_carrier_raises_the_same_message_each_time(rows, message):
+    # the null table, then the left zero band
+    g = Groupoid.from_rows(["a", "b"], rows)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NotCompletelyInverse) as err:
+            require_completely_inverse(g)
+        raised.append(err.value)
+    assert [str(exc) for exc in raised] == [message, message]
+    assert raised[0] is not raised[1]
+    assert not is_completely_inverse(g)
+
+
+@pytest.mark.parametrize("fixture", ["f1", "f2", "collapse"])
+def test_the_cached_inverse_map_stays_out_of_identity(fixture, request):
+    fresh = request.getfixturevalue(fixture)
+    g = Groupoid(fresh.names, fresh.table)
+    before = (hash(g), repr(g), format_mag(g), pickle.dumps(g))
+    require_completely_inverse(g)
+    assert g == Groupoid(fresh.names, fresh.table)
+    assert (hash(g), repr(g), format_mag(g), pickle.dumps(g)) == before
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and require_completely_inverse(again) == require_completely_inverse(g)
+
+
+@given(tables(), st.booleans())
+def test_is_completely_inverse_agrees_with_classify(data, required_first):
+    n, rows = data
+    g = Groupoid(tuple(f"x{i}" for i in range(n)), tuple(map(tuple, rows)))
+    expected = classify(Groupoid(g.names, g.table)).is_completely_inverse
+    if required_first:
+        try:
+            require_completely_inverse(g)
+        except NotCompletelyInverse:
+            pass
+    assert is_completely_inverse(g) == expected
+    assert classify(g).is_completely_inverse == expected
 
 
 def test_subgroupoid_requires_closure(f1):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from aggroupoids import canonical, verify
-from aggroupoids.congruences import Congruence, EquivRelation
+from aggroupoids.congruences import Congruence, EquivRelation, is_congruence
 from aggroupoids.errors import AlgebraError, BoundExceeded
 from aggroupoids.magma import parse_mag
 
@@ -80,6 +80,21 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_only_the_constructing_modules_trust_a_congruence():
+    # Congruence._trusted skips the compatibility test; the battery builds
+    # its own congruences with the validating constructor, so no check
+    # body trusts the code it checks
+    package = Path(__file__).resolve().parents[1] / "src" / "aggroupoids"
+    callers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+    }
+    assert callers
+    assert callers <= {"congruences.py", "lattice.py", "canonical.py"}
+
+
 def test_only_selects_a_single_check():
     results = verify.run_all(bound=2, only="thm-mu-least-semilattice")
     assert len(results) == 1
@@ -118,6 +133,27 @@ def test_corrupted_component_formula_is_detected(monkeypatch):
     lines = results[0].detail.splitlines()
     sizes = [int(line) for line in lines if line.strip().isdigit()]
     assert sizes and all(size >= 1 for size in sizes)
+
+
+def test_a_trusted_site_that_lies_is_detected(monkeypatch):
+    """mu is built with Congruence._trusted, so a grouping that is not a
+    congruence no longer raises; the battery must still catch it."""
+    grouped = canonical._grouped_by_idempotent
+    lies = []
+
+    def lying(g, label):
+        # merge the last element into the class of the first
+        rel = grouped(g, label)
+        merged = EquivRelation.from_keys(rel.block_of[:-1] + (0,))
+        if is_congruence(g, merged):
+            return rel
+        lies.append(g)
+        return merged
+
+    monkeypatch.setattr(canonical, "_grouped_by_idempotent", lying)
+    (result,) = verify.run_all(bound=3, only="thm-mu-greatest-idempotent-separating")
+    assert lies
+    assert not result.passed
 
 
 def test_mutation_does_not_leak_between_runs():
