@@ -4,10 +4,13 @@ A backtracking search fills the Cayley table cell by cell, rejecting a
 value as soon as it completes a violated law instance. Each law's check
 is compiled from its term in magma: the new cell is tried in the role of
 every product of the law, so a check visits only the instances that
-cell can complete. The completely inverse class has a second,
-independent generator that builds strong semilattices of AG-groups and
-composes them; the two censuses must agree wherever both run, and tests
-pin that agreement.
+cell can complete. Next to the table the search keeps a value index W,
+the filled cells grouped by value, from which a check reads the cells
+whose value is the new cell's row or column instead of scanning the
+table for them. The completely inverse class has a second, independent
+generator that builds strong semilattices of AG-groups and composes
+them; the two censuses must agree wherever both run, and tests pin that
+agreement.
 
 The search breaks relabeling symmetry with the least-number heuristic
 of SEM-style model finders (J. Zhang and H. Zhang, "SEM: a system for
@@ -134,35 +137,40 @@ def are_isomorphic(g: Groupoid, h: Groupoid) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-# incremental checks over a flat table, -1 meaning unknown, run once
-# cell (r, c) holds v: each law's is compiled from its term (see
-# magma._incremental_source), and distinct-columns keeps v out of the
-# rest of column c
+# incremental checks over a flat table T, -1 meaning unknown, and its
+# value index W, W[w] listing the (row, column) of each known cell that
+# holds w; each runs once cell (r, c) holds v and W[v] lists it. A law's
+# check is compiled from its term (see magma._incremental_source), and
+# distinct-columns keeps v out of the rest of column c
 _LAW_CHECKS = {
     "left-invertive": _incremental_check(*LEFT_INVERTIVE),
     "swap": _incremental_check(*SWAP_LAW),
     "associative": _incremental_check(*ASSOCIATIVE),
     "commutative": _incremental_check(*COMMUTATIVE),
-    "distinct-columns": lambda T, n, r, c, v: all(
-        T[x * n + c] != v for x in range(n) if x != r
+    "distinct-columns": lambda T, W, n, r, c, v: all(
+        x == r or y != c for x, y in W[v]
     ),
 }
 
 
-def _assign(T, n, pos, v, checks):
-    r, c = divmod(pos, n)
-    T[pos] = v
-    for fn in checks:
-        if not fn(T, n, r, c, v):
-            T[pos] = -1
-            return False
-    return True
+def _value_index(T, n):
+    """The value index W of a flat table (see _LAW_CHECKS), each list
+    in position order."""
+    W = [[] for _ in range(n)]
+    for pos, v in enumerate(T):
+        if v >= 0:
+            W[v].append(divmod(pos, n))
+    return W
 
 
-def _complete(T, n, free, start, stop, m, checks, out):
-    """Fill free[start:stop] and record each (table, m) reached.
+def _complete(T, W, n, free, start, stop, m, checks, out):
+    """Fill the cells free[start:stop] and record each (table, m) reached.
 
-    m is the largest element mentioned by the cells filled so far: their
+    Each free entry is (larger of row and column, position, row,
+    column), which sorts in fill order. W is
+    T's value index: a value is appended to it as the cell takes it and
+    popped as the cell gives it up, so it follows the backtracking. m is
+    the largest element mentioned by the cells filled so far: their
     rows, columns and values. Prefilled cells do not count; every prefill
     in use (an idempotent diagonal, an identity row 0) is fixed by each
     permutation fixing 0, and m >= 0 once a cell is filled.
@@ -170,19 +178,29 @@ def _complete(T, n, free, start, stop, m, checks, out):
     if start == stop:
         out.append((tuple(T), m))
         return
-    pos = free[start]
-    m = max(m, *divmod(pos, n))
+    top, pos, r, c = free[start]
+    if top > m:
+        m = top
+    cell = r, c
     for v in range(min(n, m + 2)):
-        if _assign(T, n, pos, v, checks):
-            _complete(T, n, free, start + 1, stop, max(m, v), checks, out)
-            T[pos] = -1
+        T[pos] = v
+        cells = W[v]
+        cells.append(cell)
+        for fn in checks:
+            if not fn(T, W, n, r, c, v):
+                break
+        else:
+            _complete(T, W, n, free, start + 1, stop, v if v > m else m, checks, out)
+        cells.pop()
+    T[pos] = -1
 
 
 def _subtree_task(args):
     n, laws, snapshot, m, free, start = args
     checks = tuple(_LAW_CHECKS[name] for name in laws)
+    T = list(snapshot)
     out = []
-    _complete(list(snapshot), n, free, start, len(free), m, checks, out)
+    _complete(T, _value_index(T, n), n, free, start, len(free), m, checks, out)
     return [table for table, _ in out]
 
 
@@ -197,19 +215,21 @@ def _search_tables(n, laws, prefill=None, workers=None):
     and independent of the worker count.
     """
     checks = tuple(_LAW_CHECKS[name] for name in laws)
-    T = [-1] * (n * n)
-    for pos in sorted(prefill or ()):
-        if not _assign(T, n, pos, prefill[pos], checks):
+    prefill = prefill or {}
+    T = [prefill.get(p, -1) for p in range(n * n)]
+    W = _value_index(T, n)
+    # with every prefilled cell known, each one's checks together visit
+    # every instance the prefill completes
+    for pos, v in prefill.items():
+        if not all(fn(T, W, n, *divmod(pos, n), v) for fn in checks):
             return []
-    free = sorted(
-        (p for p in range(n * n) if T[p] < 0), key=lambda p: (max(divmod(p, n)), p)
-    )
+    free = sorted((max(divmod(p, n)), p, *divmod(p, n)) for p in range(n * n) if T[p] < 0)
     if workers and workers > 1 and len(free) >= 3:
         depth = 2  # split the tree here; each task carries its own m
     else:
         depth = len(free)
     prefixes = []
-    _complete(T, n, free, 0, depth, -1, checks, prefixes)
+    _complete(T, W, n, free, 0, depth, -1, checks, prefixes)
     if depth == len(free):
         return [table for table, _ in prefixes]
     tasks = [(n, laws, snap, m, free, depth) for snap, m in prefixes]

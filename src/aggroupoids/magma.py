@@ -8,7 +8,10 @@ loop binding its variables, and caches the result; the orders this
 library targets (n <= 8 or so) keep the O(n^3) and O(n^4) scans small.
 _incremental_check compiles it for the table search in enumeration: a
 check over a partly filled table that visits only the instances one new
-cell can complete.
+cell can complete. The search also passes a value index W, W[w] listing
+the cells that hold w; a block whose operand is a product of two free
+variables walks the cells W holds for that operand's value, so the
+checks of the left invertive, swap and associative laws nest no loops.
 
 The inverse map of a completely inverse table, or the message saying why
 there is none, is computed once per Groupoid object, on first use, and
@@ -206,45 +209,75 @@ def _identity_source(lhs, rhs) -> str:
 
 
 def _incremental_source(lhs, rhs) -> str:
-    """Python source of check(T, n, r, c, v) over a flat n*n table, -1
+    """Python source of check(T, W, n, r, c, v) over a flat n*n table, -1
     marking an unknown cell, whose cell (r, c) was just set to v: False
     when an instance of lhs = rhs that uses that cell fails with every
-    cell known.
+    cell known. W[w] lists the (row, column) of every known cell holding
+    w, (r, c) in W[v] included.
 
     One block per distinct product lets the new cell play that role: its
-    operands come to r and c, and it is v. Operand variables are bound;
-    the others get a loop each, the operands' first. Each product is read
-    once its operands are known, the role's subterms first, and the
-    instance is skipped when a cell is unknown or an operand misses r or
-    c. Locals are those of _identity_source; a row offset a * n read in a
-    deeper loop is hoisted to where a is known, as r<name of a>.
+    operands come to r and c, and it is v. Operand variables are bound.
+    An operand that is a product of two distinct variables, neither bound
+    yet, binds both with one loop over the cells W holds for its value;
+    the remaining variables get a loop over range(n) each, the role's
+    first. So each block of the left invertive, swap and associative laws
+    is one loop, over O(n) instances when the table's values are spread
+    evenly. Each product is read once
+    its operands are known, the role's subterms first, and the instance
+    is skipped when a cell is unknown or an operand misses r or c. Locals
+    are those of _identity_source; a row offset a * n read in a deeper
+    loop is hoisted to where a is known, as r<name of a>.
     """
     variables, products, local = _terms(lhs, rhs)
-    lines = ["def check(T, n, r, c, v):"]
+    lines = ["def check(T, W, n, r, c, v):"]
     for role in products:
         left, right = role
         inside = _variables(role)
         bound = [x for x in variables if x in role]
-        loops = sorted(set(variables) - set(bound), key=lambda x: (x not in inside, x))
+        # W binds an operand product of two distinct free variables; any
+        # other keeps its scan: with one free variable that is one loop,
+        # while W[r] may hold n^2 cells, and an operand on both sides is
+        # tested against r and c
+        indexed, taken = {}, set(bound)
+        for operand, cell in ((left, "r"), (right, "c")):
+            if (
+                left != right
+                and isinstance(operand, tuple)
+                and operand[0] != operand[1]
+                and all(isinstance(x, str) and x not in taken for x in operand)
+            ):
+                indexed[operand] = cell
+                taken.update(operand)
+        loops = sorted(set(variables) - taken, key=lambda x: (x not in inside, x))
         depth = dict.fromkeys(bound, 0)
-        depth.update((x, i + 1) for i, x in enumerate(loops))
+        for i, operand in enumerate(indexed, 1):
+            depth.update(dict.fromkeys(operand, i))
+        depth.update((x, len(indexed) + i) for i, x in enumerate(loops, 1))
         for term in products:
-            depth[term] = max(depth[term[0]], depth[term[1]])
+            # the role is v, known before any loop
+            depth[term] = 0 if term == role else max(depth[term[0]], depth[term[1]])
         hoisted = {t[0] for t in products if t != role and depth[t] > depth[t[0]]}
         within = {role}
         for term in reversed(products):
             if term in within:
                 within.update(term)
+        computed = [t for t in products if t not in indexed]
         indent = "    "
         for term in sorted(
-            bound + loops + products,
-            key=lambda t: (depth[t], isinstance(t, tuple), t not in within),
+            [*bound, *indexed, *loops, *computed],
+            key=lambda t: (depth[t], t in computed, t not in within),
         ):
             name = local[term]
             if term in bound:
                 steps = [f"{name} = {'r' if term == left else 'c'}"]
                 if term == left == right:
                     steps.append(f"if {name} == c:")
+            elif term in indexed:
+                a, b = term
+                steps = [f"for {local[a]}, {local[b]} in W[{indexed[term]}]:"]
+                steps += [f"r{local[x]} = {local[x]} * n" for x in term if x in hoisted]
+                if term in {lhs, rhs}.union(*(t for t in products if t != role)):
+                    steps.append(f"{name} = {indexed[term]}")
             elif term in loops:
                 steps = [f"for {name} in range(n):"]
             elif term == role:

@@ -161,8 +161,17 @@ LAW_TERMS = {
     "commutative": COMMUTATIVE,
 }
 # compiled the same way, to reach shapes the four laws lack: four
-# variables, a variable on one side, a product of a variable with itself
-MORE_TERMS = (MEDIAL, PARAMEDIAL, (("x", "x"), "x"), (("x", ("x", "y")), ("y", "y")))
+# variables, a variable on one side, a product of a variable with itself,
+# a nested product as an operand, and an operand product repeating a
+# variable that the other operand binds
+MORE_TERMS = (
+    MEDIAL,
+    PARAMEDIAL,
+    (("x", "x"), "x"),
+    (("x", ("x", "y")), ("y", "y")),
+    (((("x", "y"), "z"), "w"), (("w", "z"), ("y", "x"))),
+    ((("x", "y"), ("y", "z")), ("z", ("y", "x"))),
+)
 
 
 def _failing_instances(T, n, lhs, rhs):
@@ -196,8 +205,9 @@ def _failing_instances(T, n, lhs, rhs):
 @given(st.data())
 def test_incremental_checks_agree_with_check_identity(data):
     # each step passes exactly when no instance it completes fails, so
-    # a whole fill passes exactly when the finished table obeys the law
-    n = data.draw(st.integers(1, 4))
+    # a whole fill passes exactly when the finished table obeys the law;
+    # W is T's value index, kept the way the search keeps it
+    n = data.draw(st.integers(1, 5))
     cells = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
     order = data.draw(st.permutations(range(n * n)))
     g = Groupoid(
@@ -208,11 +218,13 @@ def test_incremental_checks_agree_with_check_identity(data):
     checks += [(_incremental_check(*law), law) for law in MORE_TERMS]
     for check, (lhs, rhs) in checks:
         T = [-1] * (n * n)
+        W = [[] for _ in range(n)]
         before = set()
         passed = True
         for pos in order:
             T[pos] = cells[pos]
-            ok = check(T, n, *divmod(pos, n), cells[pos])
+            W[cells[pos]].append(divmod(pos, n))
+            ok = check(T, W, n, *divmod(pos, n), cells[pos])
             complete, failing = _failing_instances(T, n, lhs, rhs)
             assert ok == (not failing - before), (lhs, rhs, T, pos)
             before = complete

@@ -25,16 +25,22 @@ def _row_major_search(n, laws, prefill=None, column_distinct=False):
     """Every labeled table satisfying the laws, as nested tuples."""
     checks = [_LAW_CHECKS[name] for name in laws]
     T = [-1] * (n * n)
+    W = [[] for _ in range(n)]  # W[v]: the (row, column) of each cell holding v
 
     def assign(pos, v):
         r, c = divmod(pos, n)
         if column_distinct and any(T[x * n + c] == v for x in range(n)):
             return False
         T[pos] = v
-        if all(fn(T, n, r, c, v) for fn in checks):
+        W[v].append((r, c))
+        if all(fn(T, W, n, r, c, v) for fn in checks):
             return True
-        T[pos] = -1
+        undo(pos)
         return False
+
+    def undo(pos):
+        W[T[pos]].pop()
+        T[pos] = -1
 
     for pos, v in sorted((prefill or {}).items()):
         if not assign(pos, v):
@@ -49,7 +55,7 @@ def _row_major_search(n, laws, prefill=None, column_distinct=False):
         for v in range(n):
             if assign(free[k], v):
                 fill(k + 1)
-                T[free[k]] = -1
+                undo(free[k])
 
     fill(0)
     return found
@@ -114,6 +120,14 @@ def test_labeled_counts_are_orbit_sums(class_filter):
 def test_split_search_explores_the_same_tree():
     laws = ("left-invertive", "swap")
     assert _search_tables(4, laws, workers=2) == _search_tables(4, laws)
+    # each subtree rebuilds its value index from a snapshot that also
+    # holds the prefilled cells: the ag-band diagonal, the AG-group row 0
+    diagonal = {i * 4 + i: i for i in range(4)}
+    band = ("left-invertive",)
+    assert _search_tables(4, band, diagonal, workers=2) == _search_tables(4, band, diagonal)
+    row0 = {j: j for j in range(5)}
+    group = ("distinct-columns", "left-invertive", "swap")
+    assert _search_tables(5, group, row0, workers=2) == _search_tables(5, group, row0)
     for labeled in (False, True):
         spec = EnumerationSpec(4, "ag-star-star", up_to_isomorphism=not labeled)
         assert enumerate_groupoids(spec, workers=2) == enumerate_groupoids(spec)

@@ -1,5 +1,6 @@
 """Carrier type, law checks, classification, and the .mag format."""
 
+import ast
 import io
 import itertools
 import pickle
@@ -366,7 +367,7 @@ def test_incremental_source_uses_only_generated_names():
     rhs = ("x y", ("__import__", "1"))
     source = magma._incremental_source(lhs, rhs)
     allowed = re.compile(
-        r"r?[vt]\d+|def|check|T|n|r|c|v|range|for|in|if|and|return|False|True"
+        r"r?[vt]\d+|def|check|T|W|n|r|c|v|range|for|in|if|and|return|False|True"
     )
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
@@ -385,3 +386,17 @@ def test_incremental_source_uses_only_generated_names():
         clashing = renamed(law[0]), renamed(law[1])
         assert magma._incremental_source(*clashing) == magma._incremental_source(*law)
         assert magma._identity_source(*clashing) == magma._identity_source(*law)
+
+
+@pytest.mark.parametrize(
+    "law", [magma.LEFT_INVERTIVE, magma.SWAP_LAW, magma.ASSOCIATIVE, magma.COMMUTATIVE]
+)
+def test_incremental_checks_of_the_search_laws_nest_no_loops(law):
+    # an operand product of two free variables is read from the value
+    # index W, so each block of these laws is at most one loop: O(n)
+    # instances when the table's values are spread evenly
+    tree = ast.parse(magma._incremental_source(*law))
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For):
+            inner = [node for node in ast.walk(loop) if isinstance(node, ast.For)]
+            assert inner == [loop], ast.unparse(loop)
