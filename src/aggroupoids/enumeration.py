@@ -12,21 +12,42 @@ generator that builds strong semilattices of AG-groups and composes
 them; the two censuses must agree wherever both run, and tests pin that
 agreement.
 
-The search breaks relabeling symmetry with the least-number heuristic
-of SEM-style model finders (J. Zhang and H. Zhang, "SEM: a system for
-enumerating models", IJCAI 1995; Distler, Shah and Sorge use it for
-AG-groupoids in "Enumeration of AG-groupoids", CICM 2011). Cells are
-filled in order of their larger index, and a cell tries only the
-elements already mentioned (as a row, a column or a value of a cell the
-search filled or is filling) plus the least unmentioned one: the
-unmentioned elements are interchangeable, so any other choice leads to
-a relabeling of a table that is still reached. The search thus yields
-at least one table of every isomorphism class rather than every
-labeled table.
+The search yields exactly one table of each isomorphism class, by
+orderly generation (R. C. Read, "Every one a winner", Ann. Discrete
+Math. 2, 1978; compare B. McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998). Cells are filled shell by shell: shell k holds
+the cells whose larger index is k-1, in row-major order, so once the
+last cell of shell k is filled the k x k block of the table is
+complete. Read in fill order, that block is then compared with its
+relabelings by each permutation q of 0..k-1 that fixes every larger
+element and maps the prefill onto itself, and the partial table is
+dropped if one of them is strictly smaller. Each cell also tries only
+the elements already mentioned (as a row, a column or a value of a
+cell the search filled or is filling) plus the least unmentioned one,
+the least-number rule of SEM-style model finders (J. Zhang and H.
+Zhang, "SEM: a system for enumerating models", IJCAI 1995; Distler,
+Shah and Sorge use it for AG-groupoids in "Enumeration of
+AG-groupoids", CICM 2011).
+
+Why this is sound: take the relabeling S of a table that is least in
+fill order among those that keep the prefill. Its k x k block is least
+under every such q, because a q-relabeled block is the prefix of a
+relabeling of the whole table. It also obeys the least-number rule: if
+a cell of S held a value w > m+1, m being the largest element mentioned
+before it, then swapping w with m+1 would change no earlier cell and
+lower this one. So the search reaches S and keeps it. The last shell is
+the whole table, compared with all its relabelings, so nothing else of
+the class survives. The relabelings that keep a prefill in use are all
+of them for the idempotent diagonal, and the ones fixing 0 for the
+identity row 0 of the AG-group search, whose left identity is unique;
+both keep the swap above, which fixes 0. So every search yields exactly
+one table per isomorphism class. The shell tests of each order and
+prefill are built the first time that search runs, and kept.
 
 Tables enumerate up to isomorphism by default: each found table is
-replaced by the least relabeling and deduplicated. Labeled enumeration
-lists every relabeling of each class representative.
+replaced by its least relabeling in row-major order, which need not be
+the one the search kept, and the results are sorted. Labeled
+enumeration lists every relabeling of each class representative.
 
 Relabelings are computed on flat row-major tables held as bytes. For
 each permutation of an order, `_relabelers` keeps one
@@ -87,19 +108,22 @@ class EnumerationSpec:
             raise AlgebraError(f"unknown class {self.class_filter!r}")
 
 
+def _relabeler(p, n, positions):
+    """(cells, values) for a permutation p of 0..n-1: cells gathers, for
+    each given position (a, b) of a flat table, the old cell
+    (p^-1 a, p^-1 b), and values is the bytes.translate map x -> p(x)."""
+    inverse = sorted(range(n), key=p.__getitem__)  # inverse[p[i]] == i
+    sources = [inverse[pos // n] * n + inverse[pos % n] for pos in positions]
+    # itemgetter of one index returns a scalar; a slice keeps a sequence
+    cells = operator.itemgetter(*sources) if n > 1 else operator.itemgetter(slice(1))
+    return cells, bytes(p) + bytes(range(n, 256))
+
+
 @lru_cache(maxsize=None)
 def _relabelers(n) -> tuple:
-    """(cells, values) for each permutation p of 0..n-1: cells gathers a
-    flat table so that new cell (a, b) reads old cell (p^-1 a, p^-1 b),
-    and values is the bytes.translate map x -> p(x)."""
-    relabelers = []
-    for p in itertools.permutations(range(n)):
-        inverse = sorted(range(n), key=p.__getitem__)  # inverse[p[i]] == i
-        sources = [inverse[a] * n + inverse[b] for a in range(n) for b in range(n)]
-        # itemgetter of one index returns a scalar; a slice keeps a sequence
-        cells = operator.itemgetter(*sources) if n > 1 else operator.itemgetter(slice(1))
-        relabelers.append((cells, bytes(p) + bytes(range(n, 256))))
-    return tuple(relabelers)
+    """The relabeler of the whole flat table by each permutation of
+    0..n-1, in lexicographic order."""
+    return tuple(_relabeler(p, n, range(n * n)) for p in itertools.permutations(range(n)))
 
 
 def _relabelings(flat, n) -> list:
@@ -163,22 +187,59 @@ def _value_index(T, n):
     return W
 
 
+@lru_cache(maxsize=None)
+def _fill_order(n, prefill) -> tuple:
+    """The free cells of a search in fill order, each as (larger of row
+    and column, position, row, column, shell test).
+
+    prefill is a sorted tuple of (position, value) pairs. The shell test
+    is None except on the last free cell of shell k, if some
+    permutation q of 0..k-1 other than the identity fixes every larger
+    element and maps the prefill onto itself. There it is (cells,
+    relabelers): cells gathers the k x k block of a flat table in fill
+    order, and each relabeler (gather, values) of _relabeler reads the
+    same block of the table relabeled by one such q.
+    """
+    filled = dict(prefill)
+    cells = sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
+    free = []
+    for k in range(1, n + 1):
+        shell = [p for p in cells[(k - 1) ** 2:k * k] if p not in filled]
+        for p in shell:
+            test = _shell_test(n, k, filled, cells[:k * k]) if p == shell[-1] else None
+            free.append((k - 1, p, *divmod(p, n), test))
+    return tuple(free)
+
+
+def _shell_test(n, k, filled, block):
+    """The shell test of _fill_order for the k x k block, listed by its
+    positions in fill order."""
+    relabelers = []
+    for head in itertools.permutations(range(k)):
+        p = head + tuple(range(k, n))
+        moved = {p[pos // n] * n + p[pos % n]: p[v] for pos, v in filled.items()}
+        if p != tuple(range(n)) and moved == filled:
+            relabelers.append(_relabeler(p, n, block))
+    return (operator.itemgetter(*block), tuple(relabelers)) if relabelers else None
+
+
 def _complete(T, W, n, free, start, stop, m, checks, out):
     """Fill the cells free[start:stop] and record each (table, m) reached.
 
-    Each free entry is (larger of row and column, position, row,
-    column), which sorts in fill order. W is
-    T's value index: a value is appended to it as the cell takes it and
-    popped as the cell gives it up, so it follows the backtracking. m is
-    the largest element mentioned by the cells filled so far: their
-    rows, columns and values. Prefilled cells do not count; every prefill
-    in use (an idempotent diagonal, an identity row 0) is fixed by each
-    permutation fixing 0, and m >= 0 once a cell is filled.
+    free comes from _fill_order. W is T's value index: a value is
+    appended to it as the cell takes it and popped as the cell gives it
+    up, so it follows the backtracking. m is the largest element
+    mentioned by the cells filled so far: their rows, columns and
+    values. Prefilled cells do not count; every prefill in use (an
+    idempotent diagonal, an identity row 0) is fixed by each permutation
+    fixing 0, and m >= 0 once a cell is filled. A cell that completes a
+    shell keeps a value only if the block it completes is least in fill
+    order among the block's relabelings.
     """
     if start == stop:
         out.append((tuple(T), m))
         return
-    top, pos, r, c = free[start]
+    top, pos, r, c, shell = free[start]
     if top > m:
         m = top
     cell = r, c
@@ -190,14 +251,23 @@ def _complete(T, W, n, free, start, stop, m, checks, out):
             if not fn(T, W, n, r, c, v):
                 break
         else:
-            _complete(T, W, n, free, start + 1, stop, v if v > m else m, checks, out)
+            if shell is None or _least_block(T, *shell):
+                _complete(T, W, n, free, start + 1, stop, v if v > m else m, checks, out)
         cells.pop()
     T[pos] = -1
 
 
+def _least_block(T, cells, relabelers):
+    """Whether no relabeler of a shell test gives a block of T smaller
+    than the block itself."""
+    block = bytes(cells(T))
+    return all(bytes(gather(T)).translate(values) >= block for gather, values in relabelers)
+
+
 def _subtree_task(args):
-    n, laws, snapshot, m, free, start = args
+    n, laws, prefill, snapshot, m, start = args
     checks = tuple(_LAW_CHECKS[name] for name in laws)
+    free = _fill_order(n, prefill)
     T = list(snapshot)
     out = []
     _complete(T, _value_index(T, n), n, free, start, len(free), m, checks, out)
@@ -205,14 +275,14 @@ def _subtree_task(args):
 
 
 def _search_tables(n, laws, prefill=None, workers=None):
-    """Tables satisfying the given laws: at least one of each isomorphism
-    class, not every labeled table.
+    """Tables satisfying the given laws and agreeing with the prefill,
+    exactly one of each isomorphism class.
 
-    Cells are filled in order of (larger index, position), each trying
-    only the values 0..m+1 (see _complete). This is sound because the
-    checks survive every relabeling and the prefill survives every
-    relabeling that fixes 0. The order of the result is deterministic
-    and independent of the worker count.
+    Cells are filled shell by shell, each trying only the values 0..m+1,
+    and each completed shell's block must be least among its
+    relabelings (see _complete and the module docstring). The order of
+    the result is deterministic and independent of the worker count:
+    a split search prunes at the same cells.
     """
     checks = tuple(_LAW_CHECKS[name] for name in laws)
     prefill = prefill or {}
@@ -223,7 +293,8 @@ def _search_tables(n, laws, prefill=None, workers=None):
     for pos, v in prefill.items():
         if not all(fn(T, W, n, *divmod(pos, n), v) for fn in checks):
             return []
-    free = sorted((max(divmod(p, n)), p, *divmod(p, n)) for p in range(n * n) if T[p] < 0)
+    key = tuple(sorted(prefill.items()))
+    free = _fill_order(n, key)
     if workers and workers > 1 and len(free) >= 3:
         depth = 2  # split the tree here; each task carries its own m
     else:
@@ -232,7 +303,7 @@ def _search_tables(n, laws, prefill=None, workers=None):
     _complete(T, W, n, free, 0, depth, -1, checks, prefixes)
     if depth == len(free):
         return [table for table, _ in prefixes]
-    tasks = [(n, laws, snap, m, free, depth) for snap, m in prefixes]
+    tasks = [(n, laws, key, snap, m, depth) for snap, m in prefixes]
     size = _pool_size(workers, len(tasks))
     if size <= 1:
         chunks = map(_subtree_task, tasks)

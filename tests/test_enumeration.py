@@ -174,9 +174,10 @@ MORE_TERMS = (
 )
 
 
-def _failing_instances(T, n, lhs, rhs):
-    """(complete, failing) sets of variable assignments over a flat
-    partial table, -1 marking an unknown cell."""
+def _failing_steps(cells, n, step_of, lhs, rhs):
+    """The fill steps at which a failing instance of the law becomes
+    complete: each instance is evaluated once on the finished flat
+    table, and completes at the largest fill step of the cells it reads."""
     def variables(term):
         if isinstance(term, str):
             return {term}
@@ -184,21 +185,20 @@ def _failing_instances(T, n, lhs, rhs):
 
     names = sorted(variables(lhs) | variables(rhs))
 
-    def value(term, env):
+    def value(term, env, steps):
         if isinstance(term, str):
             return env[term]
-        a, b = value(term[0], env), value(term[1], env)
-        return -1 if a < 0 or b < 0 else T[a * n + b]
+        pos = value(term[0], env, steps) * n + value(term[1], env, steps)
+        steps.append(step_of[pos])
+        return cells[pos]
 
-    complete, failing = set(), set()
+    failing = set()
     for values in itertools.product(range(n), repeat=len(names)):
         env = dict(zip(names, values))
-        left, right = value(lhs, env), value(rhs, env)
-        if left >= 0 and right >= 0:
-            complete.add(values)
-            if left != right:
-                failing.add(values)
-    return complete, failing
+        steps = []
+        if value(lhs, env, steps) != value(rhs, env, steps):
+            failing.add(max(steps))
+    return failing
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,6 +210,7 @@ def test_incremental_checks_agree_with_check_identity(data):
     n = data.draw(st.integers(1, 5))
     cells = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
     order = data.draw(st.permutations(range(n * n)))
+    step_of = {pos: step for step, pos in enumerate(order)}
     g = Groupoid(
         tuple(str(i) for i in range(n)),
         tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)),
@@ -217,19 +218,15 @@ def test_incremental_checks_agree_with_check_identity(data):
     checks = [(_LAW_CHECKS[name], law) for name, law in LAW_TERMS.items()]
     checks += [(_incremental_check(*law), law) for law in MORE_TERMS]
     for check, (lhs, rhs) in checks:
+        failing = _failing_steps(cells, n, step_of, lhs, rhs)
         T = [-1] * (n * n)
         W = [[] for _ in range(n)]
-        before = set()
-        passed = True
-        for pos in order:
+        for step, pos in enumerate(order):
             T[pos] = cells[pos]
             W[cells[pos]].append(divmod(pos, n))
             ok = check(T, W, n, *divmod(pos, n), cells[pos])
-            complete, failing = _failing_instances(T, n, lhs, rhs)
-            assert ok == (not failing - before), (lhs, rhs, T, pos)
-            before = complete
-            passed = passed and ok
-        assert passed == check_identity(g, lhs, rhs)
+            assert ok == (step not in failing), (lhs, rhs, T, pos)
+        assert (not failing) == check_identity(g, lhs, rhs)
 
 
 def test_are_isomorphic(f1):

@@ -1,5 +1,6 @@
-"""The symmetry-broken table search against a plain reference search,
-and the canonical form against a plain relabeling.
+"""The orderly table search against a plain reference search and
+against pinned representatives, and the canonical form against a plain
+relabeling.
 
 The reference search fills the table in row-major order and tries every
 value in every cell, so it lists every labeled table of a class. It
@@ -9,6 +10,7 @@ reference canonical form builds every relabeling as row lists, one cell
 at a time, and takes the least.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -17,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggroupoids import EnumerationSpec, classify, enumerate_groupoids
-from aggroupoids.enumeration import CLASSES, _LAW_CHECKS, _search_tables, canonical_table
+from aggroupoids.enumeration import (
+    CLASSES,
+    _LAW_CHECKS,
+    _fold,
+    _search_tables,
+    canonical_table,
+)
 from aggroupoids.magma import Groupoid
 
 
@@ -117,14 +125,77 @@ def test_labeled_counts_are_orbit_sums(class_filter):
         assert len(labeled) == expected, n
 
 
+# every search the library runs: its laws and its prefill
+SEARCHES = {
+    "ag": (("left-invertive",), None),
+    "ag-star-star": (("left-invertive", "swap"), None),
+    "ag-band": (("left-invertive",), "diagonal"),
+    "semilattice": (("commutative", "associative"), "diagonal"),
+    "ag-group": (("distinct-columns", "left-invertive", "swap"), "row 0"),
+}
+
+
+def _prefill(kind, n):
+    if kind == "diagonal":
+        return {i * n + i: i for i in range(n)}
+    if kind == "row 0":
+        return {j: j for j in range(n)}
+    return None
+
+
+# (class count, sha256 prefix of the repr of _fold's output), taken from
+# the search before it pruned by shells, which yielded several tables per
+# class and folded them to the same representatives
+PINNED = {
+    ("ag", 1): (1, "0d7246e98111784f"),
+    ("ag", 2): (3, "a0c19dac6e5f5917"),
+    ("ag", 3): (20, "c5b6f2ffd56dbb1e"),
+    ("ag", 4): (331, "8e27a14d9a9545d8"),
+    ("ag-star-star", 1): (1, "0d7246e98111784f"),
+    ("ag-star-star", 2): (3, "a0c19dac6e5f5917"),
+    ("ag-star-star", 3): (16, "4afd18989e5f21a1"),
+    ("ag-star-star", 4): (101, "e18e61faf8c4b278"),
+    ("ag-band", 1): (1, "0d7246e98111784f"),
+    ("ag-band", 2): (1, "efe72829bd7f3c19"),
+    ("ag-band", 3): (2, "4bb720a296a97c4c"),
+    ("ag-band", 4): (6, "0da02853cc7cdcd7"),
+    ("semilattice", 1): (1, "0d7246e98111784f"),
+    ("semilattice", 2): (1, "efe72829bd7f3c19"),
+    ("semilattice", 3): (2, "4bb720a296a97c4c"),
+    ("semilattice", 4): (5, "230a3f9fbb9f0f95"),
+    ("semilattice", 5): (15, "d34867819fd165d2"),
+    ("ag-group", 1): (1, "0d7246e98111784f"),
+    ("ag-group", 2): (1, "363cc47a40bad12b"),
+    ("ag-group", 3): (2, "90c795a47a0b969b"),
+    ("ag-group", 4): (4, "8efbf31775f84633"),
+    ("ag-group", 5): (2, "ed4a5707f23aab82"),
+}
+
+
+@pytest.mark.parametrize("search,n", sorted(PINNED))
+def test_search_yields_one_table_per_class(search, n):
+    laws, kind = SEARCHES[search]
+    found = _search_tables(n, laws, _prefill(kind, n))
+    reps = _fold(found, n)
+    assert len(found) == len(reps)
+    digest = hashlib.sha256(repr(reps).encode()).hexdigest()[:16]
+    assert (len(reps), digest) == PINNED[search, n]
+
+
 def test_split_search_explores_the_same_tree():
     laws = ("left-invertive", "swap")
     assert _search_tables(4, laws, workers=2) == _search_tables(4, laws)
     # each subtree rebuilds its value index from a snapshot that also
-    # holds the prefilled cells: the ag-band diagonal, the AG-group row 0
+    # holds the prefilled cells, and prunes at the same shells: the
+    # ag-band and semilattice diagonal, the AG-group row 0
     diagonal = {i * 4 + i: i for i in range(4)}
     band = ("left-invertive",)
     assert _search_tables(4, band, diagonal, workers=2) == _search_tables(4, band, diagonal)
+    diagonal = {i * 5 + i: i for i in range(5)}
+    semilattice = ("commutative", "associative")
+    assert _search_tables(5, semilattice, diagonal, workers=2) == _search_tables(
+        5, semilattice, diagonal
+    )
     row0 = {j: j for j in range(5)}
     group = ("distinct-columns", "left-invertive", "swap")
     assert _search_tables(5, group, row0, workers=2) == _search_tables(5, group, row0)
@@ -161,7 +232,11 @@ def test_canonical_table_of_order_1():
 
 
 def test_canonical_table_matches_the_reference_on_the_order_4_ag_search():
-    # every search output, not only the representatives it folds to
+    # the search yields one table per class, least in fill order, so
+    # the labeled order-4 ag-star-star tables supply the inputs that are
+    # mostly not canonical
+    labeled = enumerate_groupoids(EnumerationSpec(4, "ag-star-star", up_to_isomorphism=False))
+    assert all(canonical_table(g.table) == _reference_canonical(g.table) for g in labeled)
     found = _search_tables(4, ("left-invertive",))
     tables = {tuple(tuple(t[i * 4:(i + 1) * 4]) for i in range(4)) for t in found}
     expected = {t: _reference_canonical(t) for t in tables}
