@@ -98,7 +98,7 @@ def _cmd_enumerate(args):
     spec = EnumerationSpec(
         args.order, args.class_filter, up_to_isomorphism=not args.labeled
     )
-    found = enumerate_groupoids(spec, strategy=args.strategy, workers=args.workers)
+    found = enumerate_groupoids(spec, strategy=args.strategy)
     if args.census_only:
         print(len(found))
         return 0
@@ -107,7 +107,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
-    results = run_all(bound=args.order, only=args.only, workers=args.workers)
+    results = run_all(bound=args.order, only=args.only)
     failed = False
     for r in results:
         if r.passed:
@@ -118,16 +118,6 @@ def _cmd_verify(args):
             for line in r.detail.splitlines():
                 print(f"  {line}")
     return 1 if failed else 0
-
-
-def _worker_count(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 @functools.cache
@@ -161,13 +151,11 @@ def _parser():
     p.add_argument("--census-only", action="store_true", help="print only the count")
     p.add_argument("--labeled", action="store_true", help="do not fold isomorphs")
     p.add_argument("--strategy", choices=("filter", "synthesis"))
-    p.add_argument("--workers", type=_worker_count)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the theorem checks")
     p.add_argument("--order", type=int, default=3, help="largest table order")
     p.add_argument("--only", help="run a single check id")
-    p.add_argument("--workers", type=_worker_count)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -64,9 +64,7 @@ order 8, and more than ten times that at order 9.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import operator
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -223,8 +221,8 @@ def _shell_test(n, k, filled, block):
     return (operator.itemgetter(*block), tuple(relabelers)) if relabelers else None
 
 
-def _complete(T, W, n, free, start, stop, m, checks, out):
-    """Fill the cells free[start:stop] and record each (table, m) reached.
+def _complete(T, W, n, free, start, m, checks, out):
+    """Fill the cells free[start:] and record each table reached.
 
     free comes from _fill_order. W is T's value index: a value is
     appended to it as the cell takes it and popped as the cell gives it
@@ -236,8 +234,8 @@ def _complete(T, W, n, free, start, stop, m, checks, out):
     shell keeps a value only if the block it completes is least in fill
     order among the block's relabelings.
     """
-    if start == stop:
-        out.append((tuple(T), m))
+    if start == len(free):
+        out.append(tuple(T))
         return
     top, pos, r, c, shell = free[start]
     if top > m:
@@ -252,7 +250,7 @@ def _complete(T, W, n, free, start, stop, m, checks, out):
                 break
         else:
             if shell is None or _least_block(T, *shell):
-                _complete(T, W, n, free, start + 1, stop, v if v > m else m, checks, out)
+                _complete(T, W, n, free, start + 1, v if v > m else m, checks, out)
         cells.pop()
     T[pos] = -1
 
@@ -264,25 +262,13 @@ def _least_block(T, cells, relabelers):
     return all(bytes(gather(T)).translate(values) >= block for gather, values in relabelers)
 
 
-def _subtree_task(args):
-    n, laws, prefill, snapshot, m, start = args
-    checks = tuple(_LAW_CHECKS[name] for name in laws)
-    free = _fill_order(n, prefill)
-    T = list(snapshot)
-    out = []
-    _complete(T, _value_index(T, n), n, free, start, len(free), m, checks, out)
-    return [table for table, _ in out]
-
-
-def _search_tables(n, laws, prefill=None, workers=None):
+def _search_tables(n, laws, prefill=None):
     """Tables satisfying the given laws and agreeing with the prefill,
-    exactly one of each isomorphism class.
+    exactly one of each isomorphism class, in a deterministic order.
 
     Cells are filled shell by shell, each trying only the values 0..m+1,
     and each completed shell's block must be least among its
-    relabelings (see _complete and the module docstring). The order of
-    the result is deterministic and independent of the worker count:
-    a split search prunes at the same cells.
+    relabelings (see _complete and the module docstring).
     """
     checks = tuple(_LAW_CHECKS[name] for name in laws)
     prefill = prefill or {}
@@ -293,49 +279,29 @@ def _search_tables(n, laws, prefill=None, workers=None):
     for pos, v in prefill.items():
         if not all(fn(T, W, n, *divmod(pos, n), v) for fn in checks):
             return []
-    key = tuple(sorted(prefill.items()))
-    free = _fill_order(n, key)
-    if workers and workers > 1 and len(free) >= 3:
-        depth = 2  # split the tree here; each task carries its own m
-    else:
-        depth = len(free)
-    prefixes = []
-    _complete(T, W, n, free, 0, depth, -1, checks, prefixes)
-    if depth == len(free):
-        return [table for table, _ in prefixes]
-    tasks = [(n, laws, key, snap, m, depth) for snap, m in prefixes]
-    size = _pool_size(workers, len(tasks))
-    if size <= 1:
-        chunks = map(_subtree_task, tasks)
-    else:
-        with multiprocessing.Pool(size) as pool:
-            chunks = pool.map(_subtree_task, tasks)
-    return [table for chunk in chunks for table in chunk]
-
-
-def _pool_size(workers, tasks):
-    """Worker processes to start: no more than asked for, than there are
-    tasks, or than the machine has CPUs."""
-    return min(workers, tasks, os.cpu_count() or 1)
+    free = _fill_order(n, tuple(sorted(prefill.items())))
+    out = []
+    _complete(T, W, n, free, 0, -1, checks, out)
+    return out
 
 
 def _groupoid_from_flat(flat, n) -> Groupoid:
     return Groupoid(tuple(str(i) for i in range(n)), _rows(flat, n))
 
 
-def _searched_tables(n, class_filter, workers):
+def _searched_tables(n, class_filter):
     """Search output for a class without a dedicated generator."""
     if class_filter == "ag":
-        return _search_tables(n, ("left-invertive",), workers=workers)
+        return _search_tables(n, ("left-invertive",))
     if class_filter == "ag-star-star":
-        return _search_tables(n, ("left-invertive", "swap"), workers=workers)
+        return _search_tables(n, ("left-invertive", "swap"))
     if class_filter == "ag-band":
         prefill = {i * n + i: i for i in range(n)}
-        return _search_tables(n, ("left-invertive",), prefill, workers=workers)
+        return _search_tables(n, ("left-invertive",), prefill)
     if class_filter == "completely-inverse":
         return [
             t
-            for t in _search_tables(n, ("left-invertive", "swap"), workers=workers)
+            for t in _search_tables(n, ("left-invertive", "swap"))
             if is_completely_inverse(_groupoid_from_flat(t, n))
         ]
     raise AlgebraError(f"unknown class {class_filter!r}")
@@ -484,9 +450,8 @@ def _resolve_strategy(spec: EnumerationSpec, strategy) -> str:
     return "filter"
 
 
-def enumerate_groupoids(spec: EnumerationSpec, strategy=None, workers=None) -> tuple[Groupoid, ...]:
-    """All groupoids matching the spec, in a deterministic order
-    independent of the worker count."""
+def enumerate_groupoids(spec: EnumerationSpec, strategy=None) -> tuple[Groupoid, ...]:
+    """All groupoids matching the spec, in a deterministic order."""
     strategy = _resolve_strategy(spec, strategy)
     bound = _bound_for(spec, strategy)
     if spec.order > bound:
@@ -500,7 +465,7 @@ def enumerate_groupoids(spec: EnumerationSpec, strategy=None, workers=None) -> t
     elif spec.class_filter == "ag-group":
         reps = _ag_group_reps(n)
     else:
-        found = _searched_tables(n, spec.class_filter, workers)
+        found = _searched_tables(n, spec.class_filter)
         reps = _fold(found, n)
     if spec.up_to_isomorphism:
         tables = reps
@@ -511,5 +476,5 @@ def enumerate_groupoids(spec: EnumerationSpec, strategy=None, workers=None) -> t
     return tuple(Groupoid(names, table) for table in tables)
 
 
-def census(spec: EnumerationSpec, strategy=None, workers=None) -> int:
-    return len(enumerate_groupoids(spec, strategy, workers))
+def census(spec: EnumerationSpec, strategy=None) -> int:
+    return len(enumerate_groupoids(spec, strategy))

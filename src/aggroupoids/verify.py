@@ -64,9 +64,8 @@ _REGISTRY: list = []
 class _Context:
     """Lazily enumerated families and lattices, shared by all checks of one run."""
 
-    def __init__(self, bound, workers=None):
+    def __init__(self, bound):
         self.bound = bound
-        self.workers = workers
         self._families: dict = {}
         self._lattices: dict = {}
 
@@ -74,11 +73,7 @@ class _Context:
         if class_filter not in self._families:
             members = []
             for n in range(1, self.bound + 1):
-                members.extend(
-                    enumerate_groupoids(
-                        EnumerationSpec(n, class_filter), workers=self.workers
-                    )
-                )
+                members.extend(enumerate_groupoids(EnumerationSpec(n, class_filter)))
             self._families[class_filter] = tuple(members)
         return self._families[class_filter]
 
@@ -1705,20 +1700,19 @@ def _(ctx, g):
 )
 def _(ctx, n):
     spec = EnumerationSpec(n, "completely-inverse")
-    filtered = census(spec, strategy="filter", workers=ctx.workers)
+    filtered = census(spec, strategy="filter")
     synthesized = census(spec, strategy="synthesis")
     if filtered != synthesized:
         return f"order {n}: filter found {filtered}, synthesis found {synthesized}"
     return None
 
 
-def run_all(bound: int = 3, only=None, workers=None) -> tuple[CheckResult, ...]:
+def run_all(bound: int = 3, only=None) -> tuple[CheckResult, ...]:
     """Run the registered checks over all tables up to the bound.
 
-    Universes are enumerated once per run and shared; the worker count
-    only parallelizes the underlying table searches, so reports are
-    identical for any worker count. A check that raises is reported as
-    failed, with the exception type and message as its detail.
+    Universes are enumerated once per run and shared. A check that
+    raises is reported as failed, with the exception type and message as
+    its detail.
     """
     if bound < 1 or bound > 4:
         raise BoundExceeded("verification runs at orders 1 through 4")
@@ -1727,7 +1721,7 @@ def run_all(bound: int = 3, only=None, workers=None) -> tuple[CheckResult, ...]:
     ]
     if only is not None and not selected:
         raise AlgebraError(f"unknown check id {only!r}")
-    ctx = _Context(bound, workers)
+    ctx = _Context(bound)
     results = []
     for tc, fn in selected:
         try:

@@ -324,13 +324,4 @@ def test_criterion_8_determinism(capsys, tmp_path):
     for argv in fixed:
         if _cli(argv) != _cli(argv):
             problems.append(f"repeated runs differ for {' '.join(argv)}")
-    paired = [
-        ["enumerate", "--order", "3", "--class", "ag"],
-        ["verify", "--order", "2"],
-    ]
-    for argv in paired:
-        one = _cli(argv + ["--workers", "1"])
-        two = _cli(argv + ["--workers", "2"])
-        if one != two:
-            problems.append(f"worker counts change output for {' '.join(argv)}")
     _finish(capsys, "criterion 8", started, None, problems)

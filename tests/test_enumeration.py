@@ -14,7 +14,7 @@ from aggroupoids import (
     classify,
     enumerate_groupoids,
 )
-from aggroupoids.enumeration import _LAW_CHECKS, _pool_size, canonical_table
+from aggroupoids.enumeration import _LAW_CHECKS, canonical_table
 from aggroupoids.errors import AlgebraError, BoundExceeded
 from aggroupoids.magma import (
     ASSOCIATIVE,
@@ -25,6 +25,9 @@ from aggroupoids.magma import (
     SWAP_LAW,
     Groupoid,
     check_identity,
+    is_ag_star_star,
+    is_completely_inverse,
+    is_idempotent_table,
     _incremental_check,
 )
 from aggroupoids.samples import cyclic_group, inverse_monoid4
@@ -109,21 +112,18 @@ def test_enumerated_tables_satisfy_their_class():
             assert members
             for g in members:
                 assert getattr(classify(g), flag), (class_filter, n, g.table)
-
-
-def test_workers_do_not_change_the_output():
-    spec = EnumerationSpec(3, "ag")
-    assert enumerate_groupoids(spec) == enumerate_groupoids(spec, workers=2)
-
-
-def test_pool_size_is_clamped(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert _pool_size(1000, 36) == 4
-    assert _pool_size(3, 36) == 3
-    assert _pool_size(8, 2) == 2
-    assert _pool_size(8, 0) == 0
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert _pool_size(8, 36) == 1
+    # and completeness: each pruned subclass search (the compiled swap
+    # check, the idempotent diagonal prefill) lists exactly the ag
+    # tables that pass the class's predicate on the finished table
+    for n in range(1, 5):
+        ag = enumerate_groupoids(EnumerationSpec(n, "ag"))
+        for class_filter, strategy, predicate in (
+            ("ag-star-star", None, is_ag_star_star),
+            ("ag-band", None, is_idempotent_table),
+            ("completely-inverse", "filter", is_completely_inverse),
+        ):
+            members = enumerate_groupoids(EnumerationSpec(n, class_filter), strategy)
+            assert members == tuple(g for g in ag if predicate(g)), (class_filter, n)
 
 
 def test_stream_is_sorted_canonically():

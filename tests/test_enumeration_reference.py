@@ -182,28 +182,6 @@ def test_search_yields_one_table_per_class(search, n):
     assert (len(reps), digest) == PINNED[search, n]
 
 
-def test_split_search_explores_the_same_tree():
-    laws = ("left-invertive", "swap")
-    assert _search_tables(4, laws, workers=2) == _search_tables(4, laws)
-    # each subtree rebuilds its value index from a snapshot that also
-    # holds the prefilled cells, and prunes at the same shells: the
-    # ag-band and semilattice diagonal, the AG-group row 0
-    diagonal = {i * 4 + i: i for i in range(4)}
-    band = ("left-invertive",)
-    assert _search_tables(4, band, diagonal, workers=2) == _search_tables(4, band, diagonal)
-    diagonal = {i * 5 + i: i for i in range(5)}
-    semilattice = ("commutative", "associative")
-    assert _search_tables(5, semilattice, diagonal, workers=2) == _search_tables(
-        5, semilattice, diagonal
-    )
-    row0 = {j: j for j in range(5)}
-    group = ("distinct-columns", "left-invertive", "swap")
-    assert _search_tables(5, group, row0, workers=2) == _search_tables(5, group, row0)
-    for labeled in (False, True):
-        spec = EnumerationSpec(4, "ag-star-star", up_to_isomorphism=not labeled)
-        assert enumerate_groupoids(spec, workers=2) == enumerate_groupoids(spec)
-
-
 def _reference_canonical(table):
     """The least of the table's relabelings, each built cell by cell."""
     n = len(table)
