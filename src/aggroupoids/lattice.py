@@ -1,18 +1,18 @@
 """Exhaustive congruence-lattice analysis for small carriers.
 
 Every partition of the carrier is tested for compatibility, giving the
-complete congruence lattice with meet and join tables, per-congruence
-markers, and the derived structure: trace and kernel classes (both are
-intervals), the trace homomorphism onto the idempotent semilattice's
-lattice, fundamental congruences, and the E-unitary families indexed by
-normal subgroupoids.
+complete congruence lattice, per-congruence markers, and the derived
+structure: trace and kernel classes (both are intervals), the trace
+homomorphism onto the idempotent semilattice's lattice, fundamental
+congruences, and the E-unitary families indexed by normal subgroupoids.
 
 The congruences are sorted by decreasing number of blocks, so no
-relation comes after one strictly above it. The order table compares
-related-pair bit masks, and the meet and join tables are read off the
-sort order with bit operations on index masks (see `all_congruences`),
-without building any relation. The scan tests each partition as a label
-tuple and builds a relation only for the congruences.
+relation comes after one strictly above it. The report keeps the order
+once, as `up` and `down` index masks that compare related-pair bit
+masks, and computes meet and join on demand from them (see
+`all_congruences`), without building any relation. The scan tests each
+partition as a label tuple and builds a relation only for the
+congruences.
 
 On a completely inverse table the fundamental and E-disjunctive markers
 are read off the same masks: a congruence is a fixed point of
@@ -94,9 +94,17 @@ class LatticeReport:
     groupoid: Groupoid
     congruences: tuple[Congruence, ...]
     markers: tuple[CongruenceMarkers, ...]
-    leq: tuple[tuple[bool, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
+    up: tuple[int, ...]  # bit j of up[i] is set when congruence i <= congruence j
+    down: tuple[int, ...]  # bit i of down[j] is set under the same condition
+
+    def leq(self, i: int, j: int) -> bool:
+        return bool(self.up[i] >> j & 1)
+
+    def meet(self, i: int, j: int) -> int:
+        return (self.down[i] & self.down[j]).bit_length() - 1
+
+    def join(self, i: int, j: int) -> int:
+        return ((above := self.up[i] & self.up[j]) & -above).bit_length() - 1
 
     def index_of(self, rel: EquivRelation) -> int:
         for i, c in enumerate(self.congruences):
@@ -173,10 +181,6 @@ def _pair_mask(rel: EquivRelation) -> int:
     return sum(1 << (a * rel.order + b) for a, b in rel.pairs())
 
 
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     """Filter every partition of the carrier; the default bound keeps
     the scan at 203 partitions or fewer.
@@ -185,12 +189,12 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     builds a relation only for the congruences. They are sorted by
     (-number of blocks, block_of): the identity comes first, the
     universal relation last, and a congruence strictly above another
-    has fewer blocks and so a larger index. The order table compares
-    bit masks of related pairs. Every common upper bound of i and j
-    other than their join has fewer blocks than the join, so the join
-    is the lowest index among the common upper bounds; dually, the meet
-    is the highest index among the common lower bounds. Both are read
-    off index masks with bit operations.
+    has fewer blocks and so a larger index. The report keeps the `up`
+    and `down` index masks, which compare bit masks of related pairs.
+    Every common upper bound of i and j other than their join has fewer
+    blocks than the join, so the join is the lowest index among the
+    common upper bounds; dually, the meet is the highest index among
+    the common lower bounds. `LatticeReport` computes both on demand.
 
     On a completely inverse table a congruence is fundamental when it
     is the top of its trace class, and E-disjunctive when it is the top
@@ -217,13 +221,8 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     # the scan has just tested each of these labels for compatibility
     congruences = tuple(Congruence._trusted(g, rel) for rel in rels)
     masks = [_pair_mask(rel) for rel in rels]
-    leq = tuple(tuple(p | q == q for q in masks) for p in masks)
-    up = [sum(1 << j for j, above in enumerate(row) if above) for row in leq]
-    down = [
-        sum(1 << i for i, row in enumerate(leq) if row[j]) for j in range(len(rels))
-    ]
-    meet = tuple(tuple((d & e).bit_length() - 1 for e in down) for d in down)
-    join = tuple(tuple(_lowest_bit(u & v) for v in up) for u in up)
+    up = tuple(sum(1 << j for j, q in enumerate(masks) if p | q == q) for p in masks)
+    down = tuple(sum(1 << i for i, p in enumerate(masks) if p | q == q) for q in masks)
     if is_completely_inverse(g):
         fundamental = _class_tops(up, [trace(c) for c in congruences])
         e_disjunctive = _class_tops(up, [kernel(c) for c in congruences])
@@ -233,15 +232,18 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
         _markers_for(c, f, e)
         for c, f, e in zip(congruences, fundamental, e_disjunctive)
     )
-    return LatticeReport(g, congruences, markers, leq, meet, join)
+    return LatticeReport(g, congruences, markers, up, down)
 
 
 def _require_sublattice(report: LatticeReport, subset: Sequence[int]) -> tuple[int, ...]:
     members = tuple(sorted(set(subset)))
+    for i in members:
+        if i not in range(len(report.congruences)):
+            raise NotASublattice(f"index {i} names no congruence of this lattice")
     inside = set(members)
     for i in members:
         for j in members:
-            if report.meet[i][j] not in inside or report.join[i][j] not in inside:
+            if report.meet(i, j) not in inside or report.join(i, j) not in inside:
                 raise NotASublattice(
                     f"subset is not closed under meet/join at indices ({i}, {j})"
                 )
@@ -254,18 +256,18 @@ def is_modular_sublattice(report: LatticeReport, subset: Sequence[int]):
     members = _require_sublattice(report, subset)
     for o, a, b, c, i in itertools.permutations(members, 5):
         if not (
-            report.leq[o][a]
-            and report.leq[a][c]
-            and report.leq[c][i]
-            and report.leq[o][b]
-            and report.leq[b][i]
+            report.leq(o, a)
+            and report.leq(a, c)
+            and report.leq(c, i)
+            and report.leq(o, b)
+            and report.leq(b, i)
         ):
             continue
         if (
-            report.meet[a][b] == o
-            and report.meet[c][b] == o
-            and report.join[a][b] == i
-            and report.join[c][b] == i
+            report.meet(a, b) == o
+            and report.meet(c, b) == o
+            and report.join(a, b) == i
+            and report.join(c, b) == i
         ):
             return False, (o, a, b, c, i)
     return True, None
@@ -276,10 +278,10 @@ def satisfies_modular_law(report: LatticeReport, subset: Sequence[int]) -> bool:
     members = _require_sublattice(report, subset)
     for x in members:
         for z in members:
-            if not report.leq[x][z]:
+            if not report.leq(x, z):
                 continue
             for y in members:
-                if report.join[x][report.meet[y][z]] != report.meet[report.join[x][y]][z]:
+                if report.join(x, report.meet(y, z)) != report.meet(report.join(x, y), z):
                     return False
     return True
 
@@ -392,10 +394,10 @@ def e_unitary_congruences(report: LatticeReport):
     families = []
     for n in normal_subgroupoids(g):
         rho_n = report.index_of(congruence_of_normal(g, n).rel)
-        low = report.meet[rho_n][mu_index]
+        low = report.meet(rho_n, mu_index)
         interval = tuple(
             i for i in members
-            if report.leq[low][i] and report.leq[i][rho_n]
+            if report.leq(low, i) and report.leq(i, rho_n)
         )
         families.append((n, interval))
     return members, tuple(families)
@@ -408,12 +410,10 @@ def format_lattice_report(report: LatticeReport) -> str:
     lines = ["congruences:"]
     for i, c in enumerate(report.congruences):
         lines.append(f"  {i}: {format_partition(c.rel, g.names)}")
-    lines.append("meet:")
-    for row in report.meet:
-        lines.append("  " + " ".join(str(v) for v in row))
-    lines.append("join:")
-    for row in report.join:
-        lines.append("  " + " ".join(str(v) for v in row))
+    indices = range(len(report.congruences))
+    for name, op in (("meet", report.meet), ("join", report.join)):
+        lines.append(f"{name}:")
+        lines.extend("  " + " ".join(str(op(i, j)) for j in indices) for i in indices)
     lines.append("markers:")
     for i, m in enumerate(report.markers):
         names = m.names()

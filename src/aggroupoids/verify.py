@@ -212,14 +212,14 @@ def _marked(report, name):
 
 def _least_of(report, indices):
     for i in indices:
-        if all(report.leq[i][j] for j in indices):
+        if all(report.leq(i, j) for j in indices):
             return i
     return None
 
 
 def _greatest_of(report, indices):
     for i in indices:
-        if all(report.leq[j][i] for j in indices):
+        if all(report.leq(j, i) for j in indices):
             return i
     return None
 
@@ -249,13 +249,13 @@ def _saturates(rel, members):
 def _join_preserves(g, report, i, j, c):
     """None when joining with c preserves the meet and join of i and j."""
     s = report.index_of(c.rel)
-    if report.join[report.meet[i][j]][s] != report.meet[
-        report.join[i][s]
-    ][report.join[j][s]]:
+    if report.join(report.meet(i, j), s) != report.meet(
+        report.join(i, s), report.join(j, s)
+    ):
         return _bad(g, "meet is not preserved")
-    if report.join[report.join[i][j]][s] != report.join[
-        report.join[i][s]
-    ][report.join[j][s]]:
+    if report.join(report.join(i, j), s) != report.join(
+        report.join(i, s), report.join(j, s)
+    ):
         return _bad(g, "join is not preserved")
     return None
 
@@ -275,7 +275,7 @@ def _class_mirror(ctx, g, report, members, bottom, marker, name, target):
         return _bad(g, f"{name} class does not mirror {target}")
     for a, j in zip(images, members):
         for b, k in zip(images, members):
-            if report.leq[j][k] != mirror.leq[a][b]:
+            if report.leq(j, k) != mirror.leq(a, b):
                 return _bad(g, f"{name} class mirror is not an order isomorphism")
     return None
 
@@ -702,7 +702,7 @@ def _(ctx, g, report, i):
 )
 def _(ctx, g, report, i, j):
     rho, gamma = report.congruences[i], report.congruences[j]
-    direct = report.leq[i][j]
+    direct = report.leq(i, j)
     transferred = _congruences.kernel(rho) <= _congruences.kernel(gamma) and (
         _congruences.trace(rho).leq(_congruences.trace(gamma))
     )
@@ -835,7 +835,7 @@ def _(ctx, g):
     groups = set(_marked(report, "ag_group"))
     sigma = _canonical.least_ag_group_congruence(g)
     s = report.index_of(sigma.rel)
-    if groups != {j for j in range(len(report.congruences)) if report.leq[s][j]}:
+    if groups != {j for j in range(len(report.congruences)) if report.leq(s, j)}:
         return _bad(g, "group congruences are not the upper interval")
     modular, witness = _lattice.is_modular_sublattice(report, sorted(groups))
     if not modular:
@@ -922,7 +922,7 @@ def _(ctx, g):
 def _(ctx, g, report, i, j):
     if not (report.markers[i].ag_group and report.markers[j].semilattice):
         return None
-    met = report.meet[i][j]
+    met = report.meet(i, j)
     if not report.markers[met].e_unitary:
         return _bad(g, "meet fails to be unitary")
     return None
@@ -957,7 +957,7 @@ def _(ctx, g):
         return _bad(g, "universal congruence is not unitary")
     for i in unitary:
         for j in unitary:
-            if report.meet[i][j] not in unitary:
+            if report.meet(i, j) not in unitary:
                 return _bad(g, "meet escapes the unitary family")
     return None
 
@@ -1022,9 +1022,9 @@ def _(ctx, g):
 )
 def _(ctx, g, report, i, j):
     tr = lambda k: _congruences.trace(report.congruences[k])
-    if tr(report.meet[i][j]) != tr(i).meet(tr(j)):
+    if tr(report.meet(i, j)) != tr(i).meet(tr(j)):
         return _bad(g, "trace misses the meet")
-    if tr(report.join[i][j]) != tr(i).join(tr(j)):
+    if tr(report.join(i, j)) != tr(i).join(tr(j)):
         return _bad(g, "trace misses the join")
     return None
 
@@ -1079,18 +1079,18 @@ def _(ctx, g):
     sigma = _canonical.least_ag_group_congruence(g)
     s = report.index_of(sigma.rel)
     pure = set(_marked(report, "idempotent_pure"))
-    image = {report.meet[i][s] for i in range(len(report.congruences))}
+    image = {report.meet(i, s) for i in range(len(report.congruences))}
     if image != pure:
         return _bad(g, "projection misses the pure congruences")
     for i in range(len(report.congruences)):
         for j in range(len(report.congruences)):
-            if report.meet[report.meet[i][j]][s] != report.meet[
-                report.meet[i][s]
-            ][report.meet[j][s]]:
+            if report.meet(report.meet(i, j), s) != report.meet(
+                report.meet(i, s), report.meet(j, s)
+            ):
                 return _bad(g, "projection misses a meet")
-            if report.meet[report.join[i][j]][s] != report.join[
-                report.meet[i][s]
-            ][report.meet[j][s]]:
+            if report.meet(report.join(i, j), s) != report.join(
+                report.meet(i, s), report.meet(j, s)
+            ):
                 return _bad(g, "projection misses a join")
     return None
 
@@ -1124,7 +1124,7 @@ def _(ctx, g, report, i):
     interval = tuple(
         j
         for j in range(len(report.congruences))
-        if report.leq[low][j] and report.leq[j][high]
+        if report.leq(low, j) and report.leq(j, high)
     )
     if members != interval:
         return _bad(g, "trace class is not the interval between its extreme forms")
@@ -1193,21 +1193,21 @@ def _(ctx, g):
         return _bad(g, "fixed points do not mirror the idempotent lattice")
     for i in fundamental:
         for j in fundamental:
-            if report.leq[i][j] != target.leq[image[i]][image[j]]:
+            if report.leq(i, j) != target.leq(image[i], image[j]):
                 return _bad(g, "the trace map on fixed points is not an order isomorphism")
     for i in fundamental:
         for j in fundamental:
-            if report.meet[i][j] not in fundamental:
+            if report.meet(i, j) not in fundamental:
                 return _bad(g, "fixed points are not meet-closed")
             lifted = report.index_of(
-                _canonical.trace_max(report.congruences[report.join[i][j]]).rel
+                _canonical.trace_max(report.congruences[report.join(i, j)]).rel
             )
             if lifted not in fundamental:
                 return _bad(g, "operator join leaves the fixed points")
             above = [
                 k
                 for k in fundamental
-                if report.leq[report.join[i][j]][k]
+                if report.leq(report.join(i, j), k)
             ]
             if _least_of(report, above) != lifted:
                 return _bad(g, "operator join is not the least fixed point above")
@@ -1263,7 +1263,7 @@ def _(ctx, g, report, i):
     interval = {
         j
         for j in range(len(report.congruences))
-        if report.leq[low][j] and report.leq[j][high]
+        if report.leq(low, j) and report.leq(j, high)
     }
     if members != interval:
         return _bad(g, "kernel class is not the expected interval")
@@ -1285,7 +1285,7 @@ def _(ctx, g):
     report = ctx.lattice(g)
     for i in range(len(report.congruences)):
         for j in range(len(report.congruences)):
-            if i != j and report.leq[i][j]:
+            if i != j and report.leq(i, j):
                 hi = _canonical.kernel_max(report.congruences[i])
                 hj = _canonical.kernel_max(report.congruences[j])
                 if not hi.rel.leq(hj.rel):
@@ -1538,7 +1538,7 @@ def _(ctx, g):
         expected = tuple(
             i
             for i in range(len(report.congruences))
-            if report.leq[report.index_of(low)][i] and report.leq[i][high]
+            if report.leq(report.index_of(low), i) and report.leq(i, high)
         )
         if interval != expected:
             return _bad(g, f"family of {sorted(n)} is not the full interval")
@@ -1622,14 +1622,14 @@ def _(ctx, g, report, i):
     above = [
         k
         for k in _marked(report, "semilattice")
-        if report.leq[i][k]
+        if report.leq(i, k)
     ]
     if _least_of(report, above) != j:
         return _bad(g, "join is not the least semilattice congruence above")
     sharing = [
         k
         for k in range(len(report.congruences))
-        if report.join[k][report.index_of(mu.rel)] == j
+        if report.join(k, report.index_of(mu.rel)) == j
     ]
     if _greatest_of(report, sharing) != j:
         return _bad(g, "join is not the largest element of its fiber")

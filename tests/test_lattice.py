@@ -1,5 +1,6 @@
 """Exhaustive congruence lattices, markers, sublattice analysis."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,12 @@ from aggroupoids.errors import (
     NotCompletelyInverse,
     OrderTooLarge,
 )
-from aggroupoids.lattice import commuting_check, iter_partitions
+from aggroupoids.lattice import (
+    LatticeReport,
+    commuting_check,
+    iter_partitions,
+    satisfies_modular_law,
+)
 from aggroupoids.magma import Groupoid, parse_mag
 from aggroupoids.samples import chain_semilattice
 
@@ -39,15 +45,20 @@ def test_congruences_of_the_running_example(f1_report):
     assert f1_report.top == 4
 
 
+def _table(report, op):
+    indices = range(len(report.congruences))
+    return tuple(tuple(op(i, j) for j in indices) for i in indices)
+
+
 def test_meet_join_tables(f1_report):
-    assert f1_report.meet == (
+    assert _table(f1_report, f1_report.meet) == (
         (0, 0, 0, 0, 0),
         (0, 1, 0, 1, 1),
         (0, 0, 2, 0, 2),
         (0, 1, 0, 3, 3),
         (0, 1, 2, 3, 4),
     )
-    assert f1_report.join == (
+    assert _table(f1_report, f1_report.join) == (
         (0, 1, 2, 3, 4),
         (1, 1, 4, 3, 4),
         (2, 4, 2, 4, 4),
@@ -94,6 +105,18 @@ def test_separating_interval_is_modular_and_commuting(f1_report):
 def test_sublattice_check_rejects_non_sublattices(f1_report):
     with pytest.raises(NotASublattice):
         is_modular_sublattice(f1_report, [1, 2])  # join 4 missing
+
+
+@pytest.mark.parametrize("subset, bad", [([-1, 0], -1), ([0, 4, 9], 9)])
+@pytest.mark.parametrize(
+    "helper", [is_modular_sublattice, satisfies_modular_law, commuting_check]
+)
+def test_sublattice_helpers_reject_indices_outside_the_lattice(
+    f1_report, helper, subset, bad
+):
+    # the lattice of inverse_monoid4 has five congruences, indices 0..4
+    with pytest.raises(NotASublattice, match=f"^index {bad} names no congruence"):
+        helper(f1_report, subset)
 
 
 def test_trace_homomorphism(f1):
@@ -202,6 +225,22 @@ def test_all_congruences_respects_the_bound():
         all_congruences(g)
     report = all_congruences(g, bound=7)
     assert len(report.congruences) > 1
+
+
+def test_order_seven_null_table_keeps_only_index_masks():
+    # every partition of a null table is a congruence: Bell(7) of them
+    g = Groupoid.from_function(tuple(f"x{i}" for i in range(7)), lambda a, b: 0)
+    report = all_congruences(g, bound=7)
+    assert len(report.congruences) == 877
+    assert [f.name for f in dataclasses.fields(LatticeReport)] == [
+        "groupoid",
+        "congruences",
+        "markers",
+        "up",
+        "down",
+    ]
+    assert report.meet(0, report.top) == 0
+    assert report.join(0, report.top) == report.top
 
 
 def test_report_format_is_stable(f1_report):

@@ -1,16 +1,18 @@
 """The congruence lattice against relation-level references.
 
-`all_congruences` scans label tuples, reads its order, meet and join
-tables off the sorted congruence list with bit operations, reads the
-fundamental and e-disjunctive markers off the trace and kernel classes,
-and tests only the laws the other markers name. Here the congruences
-come from a set-partition scan and a compatibility test of this file's
-own, the tables from `EquivRelation.leq`, `.meet` and `.join`, and the
-markers from a copy of the earlier `_markers_for`, which ran a full
-`classify` on every quotient and tested the `trace_max` and `kernel_max`
-fixed points. The universe is every `ag` class representative of order
-1-4, every completely inverse one of order 5, and composed tables of
-order 5 and 6, one of them left invertive but not completely inverse.
+`all_congruences` scans label tuples, keeps its order as index masks
+over the sorted congruence list and computes meet and join from them
+with bit operations, reads the fundamental and e-disjunctive markers
+off the trace and kernel classes, and tests only the laws the other
+markers name. Here the congruences come from a set-partition scan and a
+compatibility test of this file's own, the order, meet and join from
+`EquivRelation.leq`, `.meet` and `.join`, and the markers from a copy of
+the earlier `_markers_for`, which ran a full `classify` on every
+quotient and tested the `trace_max` and `kernel_max` fixed points. The
+universe is every `ag` class representative of order 1-4, every
+completely inverse one of order 5, and composed tables of order 5 and
+6, one of them left invertive but not completely inverse. The order,
+meet and join are also checked on the order-7 chain (64 congruences).
 """
 
 import itertools
@@ -113,6 +115,8 @@ CLASS_OF_PREFIX = {"ag": "ag", "ci": "completely-inverse"}
 def _universe(name):
     if name == "composed":
         return _composed_tables()
+    if name == "chain-7":
+        return [chain_semilattice(7)]
     prefix, n = name.split("-")
     return enumerate_groupoids(EnumerationSpec(int(n), CLASS_OF_PREFIX[prefix]))
 
@@ -158,10 +162,10 @@ def test_composed_tables_cover_orders_five_and_six():
     assert classify(tables[-1]).is_ag
 
 
-@pytest.mark.parametrize("universe", UNIVERSES)
+@pytest.mark.parametrize("universe", UNIVERSES + ["chain-7"])
 def test_tables_match_the_relation_oracle(universe):
     for g in _universe(universe):
-        report = all_congruences(g)
+        report = all_congruences(g, bound=7)
         rels = [c.rel for c in report.congruences]
         scanned = _scanned_congruences(g)
         assert len(rels) == len(scanned) and set(rels) == set(scanned)
@@ -170,9 +174,9 @@ def test_tables_match_the_relation_oracle(universe):
         index = {rel: i for i, rel in enumerate(rels)}
         for i, p in enumerate(rels):
             for j, q in enumerate(rels):
-                assert report.leq[i][j] == p.leq(q)
-                assert report.meet[i][j] == index[p.meet(q)]
-                assert report.join[i][j] == index[p.join(q)]
+                assert report.leq(i, j) == p.leq(q)
+                assert report.meet(i, j) == index[p.meet(q)]
+                assert report.join(i, j) == index[p.join(q)]
 
 
 @pytest.mark.parametrize("universe", UNIVERSES)
