@@ -104,6 +104,8 @@ class EquivRelation:
             return x
 
         for a, b in pairs:
+            if not (0 <= a < order and 0 <= b < order):
+                raise AlgebraError(f"element {b if 0 <= a < order else a} out of range")
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)

@@ -221,8 +221,15 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     # the scan has just tested each of these labels for compatibility
     congruences = tuple(Congruence._trusted(g, rel) for rel in rels)
     masks = [_pair_mask(rel) for rel in rels]
-    up = tuple(sum(1 << j for j, q in enumerate(masks) if p | q == q) for p in masks)
-    down = tuple(sum(1 << i for i, p in enumerate(masks) if p | q == q) for q in masks)
+    # by the sort, a congruence lies below another only at an equal or
+    # larger index, so each pair i <= j is compared once
+    up = [0] * len(masks)
+    down = [0] * len(masks)
+    for j, q in enumerate(masks):
+        for i in range(j + 1):
+            if masks[i] | q == q:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
     if is_completely_inverse(g):
         fundamental = _class_tops(up, [trace(c) for c in congruences])
         e_disjunctive = _class_tops(up, [kernel(c) for c in congruences])
@@ -232,7 +239,7 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
         _markers_for(c, f, e)
         for c, f, e in zip(congruences, fundamental, e_disjunctive)
     )
-    return LatticeReport(g, congruences, markers, up, down)
+    return LatticeReport(g, congruences, markers, tuple(up), tuple(down))
 
 
 def _require_sublattice(report: LatticeReport, subset: Sequence[int]) -> tuple[int, ...]:
@@ -325,10 +332,10 @@ class TraceHomomorphism:
     section: tuple[int, ...]
 
 
-def trace_homomorphism(g: Groupoid, bound: int = 6) -> TraceHomomorphism:
-    source = all_congruences(g, bound)
+def trace_homomorphism(g: Groupoid) -> TraceHomomorphism:
+    source = all_congruences(g)
     ids = idempotents(g)
-    target = all_congruences(subgroupoid(g, ids), bound)
+    target = all_congruences(subgroupoid(g, ids))
     image = tuple(
         target.index_of(trace(c)) for c in source.congruences
     )

@@ -27,11 +27,13 @@ from aggroupoids import (
 from aggroupoids.errors import (
     AlgebraError,
     InvalidCongruencePair,
+    KernelMismatch,
     NotACongruence,
     NotARefinement,
     ParseError,
 )
-from aggroupoids.samples import chain_semilattice
+from aggroupoids.magma import Groupoid
+from aggroupoids.samples import chain_semilattice, inverse_monoid4
 
 
 def relations(max_order=6):
@@ -121,6 +123,15 @@ def test_meet_join_are_lattice_operations(rels):
         assert r.leq(p.meet(q))
     if p.leq(r) and q.leq(r):
         assert p.join(q).leq(r)
+
+
+@pytest.mark.parametrize("element", [-1, 4])
+def test_from_pairs_rejects_elements_outside_the_carrier(element):
+    # -1 must not wrap round to element 3, nor 4 escape as an IndexError
+    with pytest.raises(AlgebraError, match=f"element {element} out of range"):
+        EquivRelation.from_pairs(4, [(element, 0)])
+    with pytest.raises(AlgebraError, match=f"element {element} out of range"):
+        congruence_generated_by(inverse_monoid4(), [(0, element)])
 
 
 @given(relations())
@@ -300,3 +311,11 @@ def test_syntactic_congruence(f1):
     assert syntactic_congruence(f1, (0, 1, 2, 3)).partition_text() == "a b e f"
     # {b} is already a class of a e | b | f, and nothing larger keeps it whole
     assert syntactic_congruence(f1, (1,)).partition_text() == "a e | b | f"
+
+
+def test_kernel_readings_disagree_without_idempotents():
+    # a -> a+1 mod 3 has no idempotent, so no class holds one, yet the
+    # universal relation relates every a to a*a
+    g = Groupoid.from_function(("0", "1", "2"), lambda a, b: (a + 1) % 3)
+    with pytest.raises(KernelMismatch):
+        kernel(Congruence(g, EquivRelation.universal(3)))

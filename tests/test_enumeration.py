@@ -14,8 +14,9 @@ from aggroupoids import (
     classify,
     enumerate_groupoids,
 )
+from aggroupoids import enumeration
 from aggroupoids.enumeration import _LAW_CHECKS, canonical_table
-from aggroupoids.errors import AlgebraError, BoundExceeded
+from aggroupoids.errors import AlgebraError, BoundExceeded, InvalidStructure
 from aggroupoids.magma import (
     ASSOCIATIVE,
     COMMUTATIVE,
@@ -92,7 +93,23 @@ def test_labeled_censuses():
 def test_dual_strategies_agree():
     for n in (1, 2, 3, 4):
         spec = EnumerationSpec(n, "completely-inverse")
-        assert census(spec, strategy="filter") == census(spec, strategy="synthesis")
+        filtered, synthesized = (
+            [g.table for g in enumerate_groupoids(spec, strategy)]
+            for strategy in ("filter", "synthesis")
+        )
+        assert filtered == synthesized
+
+
+def test_synthesis_skips_only_families_that_do_not_compose(monkeypatch):
+    # a constant map onto the non-identity of Z2 preserves no operation;
+    # compose must reject it as such, and synthesis must not swallow that
+    def broken(src, dst):
+        return (tuple(len(dst) - 1 for _ in src),)
+
+    monkeypatch.setattr(enumeration, "_homomorphisms", broken)
+    with pytest.raises(InvalidStructure) as info:
+        enumeration._synthesized_tables(3)
+    assert info.value.condition == "homomorphism"
 
 
 CLASS_FLAG = {

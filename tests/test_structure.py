@@ -22,6 +22,7 @@ from aggroupoids.errors import (
 )
 from aggroupoids.magma import same_operation
 from aggroupoids.samples import (
+    chain_semilattice,
     collapsing_strong_semilattice,
     cyclic_group,
     inverse_monoid4,
@@ -70,6 +71,27 @@ def test_structure_validation_catches_bad_maps():
     swapped = StrongSemilattice(s.semilattice, s.components, broken)
     with pytest.raises(InvalidStructure):
         compose(swapped)
+
+
+def test_compose_rejects_maps_that_do_not_compose_along_a_chain():
+    # Z2 at the top and bottom of the chain 0 < 1 < 2, the trivial group
+    # between them: the composite 2 -> 1 -> 0 is constant, so the direct
+    # map 2 -> 0 must be too
+    z2 = ((0, 1), (1, 0))
+    components = (
+        Groupoid(("b0", "b1"), z2),
+        Groupoid(("m0",), ((0,),)),
+        Groupoid(("t0", "t1"), z2),
+    )
+    identities = ((0, 0, (0, 1)), (1, 1, (0,)), (2, 2, (0, 1)))
+    through = ((1, 0, (0,)), (2, 1, (0, 0)))
+    y = chain_semilattice(3)
+    direct = StrongSemilattice(y, components, identities + through + ((2, 0, (0, 1)),))
+    with pytest.raises(InvalidStructure) as info:
+        compose(direct)
+    assert info.value.condition == "composition"
+    constant = StrongSemilattice(y, components, identities + through + ((2, 0, (0, 0)),))
+    assert compose(constant).order == 5
 
 
 def test_structure_text_round_trip(f1, collapse):
