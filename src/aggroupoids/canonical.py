@@ -8,6 +8,12 @@ trace and kernel operators: every congruence's trace class and kernel
 class are intervals, and the four functions computing their endpoints
 live here as well.
 
+The least AG-group congruence, its join with rho and the least
+congruence with rho's trace relate a and b when some idempotent e of a
+product-closed set makes e*a and e*b agree or rho-related. The product
+z of that set is then a witness too, as z*(e*a) = e*(z*a) = z*a, so
+each of the three groups a by a key built from z*a.
+
 The theorems behind each formula, its extremality against the full
 congruence lattice included, are checked by the verify battery, not
 here.
@@ -15,13 +21,14 @@ here.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import NotEUnitary
 from .congruences import (
     Congruence,
     EquivRelation,
-    _congruence_of_rule,
     congruence_meet,
     kernel,
     quotient,
@@ -79,13 +86,16 @@ def max_idempotent_separating(g: Groupoid) -> Congruence:
     return Congruence._trusted(g, _grouped_by_idempotent(g, g.elements))
 
 
+def _least_idempotent(g: Groupoid, ids) -> int:
+    """The least of a product-closed set of idempotents: their product."""
+    return functools.reduce(lambda x, e: g.table[x][e], ids)
+
+
 def least_ag_group_congruence(g: Groupoid) -> Congruence:
     """a ~ b iff some idempotent translates them to the same element."""
     require_completely_inverse(g)
-    ids = idempotents(g)
-    return _congruence_of_rule(
-        g, lambda a, b: any(g.table[e][a] == g.table[e][b] for e in ids)
-    )
+    z = _least_idempotent(g, idempotents(g))
+    return Congruence._trusted(g, EquivRelation.from_keys(g.table[z]))
 
 
 def max_idempotent_pure(g: Groupoid) -> Congruence:
@@ -120,17 +130,14 @@ def trace_min(rho: Congruence) -> Congruence:
     b to the same element."""
     g = rho.groupoid
     inverse = require_completely_inverse(g)
-    ids = idempotents(g)
-
-    def related(a, b):
-        ea, eb = g.table[a][inverse[a]], g.table[b][inverse[b]]
-        if not rho.related(ea, eb):
-            return False
-        return any(
-            rho.related(e, ea) and g.table[e][a] == g.table[e][b] for e in ids
-        )
-
-    return _congruence_of_rule(g, related)
+    label = rho.rel.block_of
+    ids = sorted(idempotents(g), key=label.__getitem__)
+    classes = itertools.groupby(ids, key=label.__getitem__)
+    least = {k: _least_idempotent(g, members) for k, members in classes}
+    keys = ((label[g.table[a][inverse[a]]], a) for a in g.elements)
+    return Congruence._trusted(
+        g, EquivRelation.from_keys((k, g.table[least[k]][a]) for k, a in keys)
+    )
 
 
 def kernel_min(rho: Congruence) -> Congruence:
@@ -151,10 +158,9 @@ def ag_group_closure(rho: Congruence) -> Congruence:
     criterion: a ~ b iff (ea, eb) lands in rho for some idempotent e."""
     g = rho.groupoid
     require_completely_inverse(g)
-    ids = idempotents(g)
-    return _congruence_of_rule(
-        g, lambda a, b: any(rho.related(g.table[e][a], g.table[e][b]) for e in ids)
-    )
+    z = _least_idempotent(g, idempotents(g))
+    label = rho.rel.block_of
+    return Congruence._trusted(g, EquivRelation.from_keys(label[x] for x in g.table[z]))
 
 
 def semilattice_closure(rho: Congruence) -> Congruence:

@@ -395,25 +395,12 @@ def is_congruence_pair(g: Groupoid, K: Iterable[int], tau: EquivRelation) -> boo
     return _pair_violation(g, CongruencePair(frozenset(K), tau)) is None
 
 
-def _congruence_of_rule(g: Groupoid, related) -> Congruence:
-    """The congruence relating a and b exactly when related(a, b).
-
-    Each b is labelled by the least a < b with related(a, b), or by b
-    itself: the least member of its class when the rule is an
-    equivalence. Every caller's rule is one, and a congruence, theorems
-    the battery checks for each; the rule is neither closed nor tested
-    for compatibility, so one that is not transitive gives a wrong
-    partition or an AlgebraError.
-    """
-    labels = tuple(
-        next((a for a in range(b) if related(a, b)), b) for b in g.elements
-    )
-    return Congruence._trusted(g, EquivRelation(g.order, labels))
-
-
 def _kernel_trace_congruence(g: Groupoid, pair: CongruencePair) -> Congruence:
-    # a ~ b iff the traces of a*a^-1 and b*b^-1 match and a*b^-1 lies in
-    # the kernel; the caller has checked that the pair is valid
+    """The congruence of a pair by the paper's rule: a ~ b iff the traces
+    of a*a^-1 and b*b^-1 match and a*b^-1 lies in the kernel. Each b is
+    labelled by the least related a <= b. The caller has checked the pair
+    conditions, which make the rule an equivalence; it is not closed, so
+    a rule that is not transitive gives a wrong partition or an error."""
     inverse = require_completely_inverse(g)
     index_of = {e: i for i, e in enumerate(idempotents(g))}
 
@@ -422,16 +409,13 @@ def _kernel_trace_congruence(g: Groupoid, pair: CongruencePair) -> Congruence:
         eb = index_of[g.table[b][inverse[b]]]
         return pair.trace.related(ea, eb) and g.table[a][inverse[b]] in pair.kernel
 
-    return _congruence_of_rule(g, related)
+    labels = tuple(next((a for a in range(b) if related(a, b)), b) for b in g.elements)
+    return Congruence._trusted(g, EquivRelation(g.order, labels))
 
 
 def from_kernel_trace(g: Groupoid, pair: CongruencePair) -> Congruence:
-    """Rebuild the unique congruence with the given kernel and trace.
-
-    Membership rule: a ~ b iff the traces of a*a^-1 and b*b^-1 match
-    and a*b^-1 lies in the kernel. The pair conditions are validated
-    first; they are exactly what makes the rule an equivalence.
-    """
+    """Rebuild the unique congruence with the given kernel and trace,
+    after validating the pair conditions."""
     violation = _pair_violation(g, pair)
     if violation is not None:
         raise InvalidCongruencePair(violation)

@@ -101,5 +101,5 @@ class OrderTooLarge(AlgebraError):
 
 
 class BoundExceeded(AlgebraError):
-    """Table enumeration is capped per class; raise the bound explicitly to
-    go further."""
+    """The order is above the fixed bound for its class and strategy
+    (table enumeration) or for the theorem battery."""

@@ -348,10 +348,16 @@ def trace_homomorphism(g: Groupoid) -> TraceHomomorphism:
     return TraceHomomorphism(source, target, image, section)
 
 
+def _congruence_at(report: LatticeReport, index: int) -> Congruence:
+    if index not in range(len(report.congruences)):
+        raise AlgebraError(f"index {index} names no congruence of this lattice")
+    return report.congruences[index]
+
+
 def trace_class(report: LatticeReport, index: int) -> tuple[int, ...]:
     """All congruences sharing a trace: the interval from trace_min to
     trace_max, modular and with commuting composition."""
-    t = trace(report.congruences[index])
+    t = trace(_congruence_at(report, index))
     return tuple(
         i for i, c in enumerate(report.congruences) if trace(c) == t
     )
@@ -360,7 +366,7 @@ def trace_class(report: LatticeReport, index: int) -> tuple[int, ...]:
 def kernel_class(report: LatticeReport, index: int) -> tuple[int, ...]:
     """All congruences sharing a kernel: the interval from kernel_min
     to kernel_max."""
-    k = kernel(report.congruences[index])
+    k = kernel(_congruence_at(report, index))
     return tuple(
         i for i, c in enumerate(report.congruences) if kernel(c) == k
     )

@@ -547,11 +547,19 @@ def ag_group_left_identity(g: Groupoid) -> int:
     return left_identities(g)[0]
 
 
+def _require_elements(g: Groupoid, members: Iterable[int]) -> None:
+    """Raise AlgebraError naming a member that is no element of g."""
+    for a in members:
+        if not 0 <= a < g.order:
+            raise AlgebraError(f"element {a} out of range")
+
+
 def subgroupoid(g: Groupoid, subset: Iterable[int]) -> Groupoid:
     """Restrict to a subset closed under the product, keeping labels."""
     members = sorted(set(subset))
     if not members:
         raise AlgebraError("a subgroupoid needs at least one element")
+    _require_elements(g, members)
     position = {a: k for k, a in enumerate(members)}
     table = []
     for a in members:

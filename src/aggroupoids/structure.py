@@ -23,6 +23,7 @@ from .magma import (
     Groupoid,
     _content_lines,
     _parse_mag_lines,
+    _require_elements,
     format_mag,
     idempotents,
     is_ag_group,
@@ -83,9 +84,11 @@ class StrongSemilattice:
         expected = {
             (i, j) for i in y.elements for j in y.elements if y.table[i][j] == j
         }
-        given = {(i, j) for i, j, _ in self.maps}
-        if given != expected or len(self.maps) != len(expected):
+        images_of = {(i, j): images for i, j, images in self.maps}
+        if images_of.keys() != expected or len(self.maps) != len(expected):
             raise InvalidStructure("maps", "maps must cover exactly the comparable index pairs")
+        # not a field, so equality, hash and repr still read maps alone
+        object.__setattr__(self, "_images_of", images_of)
         for i, j, images in self.maps:
             if len(images) != self.components[i].order or not all(
                 0 <= v < self.components[j].order for v in images
@@ -93,10 +96,10 @@ class StrongSemilattice:
                 raise InvalidStructure("maps", f"map {i} -> {j} has the wrong shape")
 
     def map_images(self, alpha: int, beta: int) -> tuple[int, ...]:
-        for i, j, images in self.maps:
-            if (i, j) == (alpha, beta):
-                return images
-        raise AlgebraError(f"no map for index pair ({alpha}, {beta})")
+        images = self._images_of.get((alpha, beta))
+        if images is None:
+            raise AlgebraError(f"no map for index pair ({alpha}, {beta})")
+        return images
 
 
 def validate_structure(s: StrongSemilattice) -> None:
@@ -249,6 +252,7 @@ def upward_closure(g: Groupoid, subset: Iterable[int]) -> frozenset:
     members = frozenset(subset)
     if not members:
         raise AlgebraError("upward closure of the empty set")
+    _require_elements(g, members)
     require_completely_inverse(g)
     ids = idempotents(g)
     return frozenset(

@@ -1,5 +1,7 @@
 """The four distinguished congruences and the eight operators on them."""
 
+from pathlib import Path
+
 import pytest
 
 from aggroupoids import (
@@ -19,8 +21,15 @@ from aggroupoids import (
     trace_max,
     trace_min,
 )
+from aggroupoids.enumeration import EnumerationSpec, enumerate_groupoids
 from aggroupoids.errors import NotCompletelyInverse, NotEUnitary
-from aggroupoids.magma import Groupoid
+from aggroupoids.lattice import all_congruences
+from aggroupoids.magma import (
+    Groupoid,
+    idempotents,
+    parse_mag,
+    require_completely_inverse,
+)
 from aggroupoids.samples import chain_semilattice, cyclic_group
 
 
@@ -72,6 +81,70 @@ def test_canonical_rejects_non_completely_inverse():
     band = Groupoid.from_rows(["l", "r"], [["l", "l"], ["r", "r"]])
     with pytest.raises(NotCompletelyInverse):
         canonical_suite(band)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        least_ag_group_congruence,
+        lambda g: ag_group_closure(Congruence(g, EquivRelation.identity(g.order))),
+        lambda g: trace_min(Congruence(g, EquivRelation.identity(g.order))),
+    ],
+    ids=["sigma", "ag_group_closure", "trace_min"],
+)
+def test_keyed_operators_reject_non_completely_inverse(build):
+    # the band's idempotents have a product, so a grouping by it would
+    # return a relation instead of raising
+    band = Groupoid.from_rows(["l", "r"], [["l", "l"], ["r", "r"]])
+    with pytest.raises(NotCompletelyInverse):
+        build(band)
+
+
+def _order_five_and_six_tables():
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    tables = enumerate_groupoids(EnumerationSpec(5, "completely-inverse"))
+    return tables + (parse_mag((data / "z2_chain6.mag").read_text()),)
+
+
+def test_keyed_operators_match_the_existential_rules_at_orders_5_and_6():
+    # the paper's definitions, each closed by from_pairs rather than
+    # grouped by a least idempotent
+    tables = _order_five_and_six_tables()
+    assert len(tables) == 64
+    for g in tables:
+        inverse = require_completely_inverse(g)
+        ids = idempotents(g)
+        mul = g.mul
+        square = [mul(a, inverse[a]) for a in g.elements]
+        pairs = [(a, b) for a in g.elements for b in g.elements]
+        sigma = EquivRelation.from_pairs(
+            g.order,
+            ((a, b) for a, b in pairs if any(mul(e, a) == mul(e, b) for e in ids)),
+        )
+        assert least_ag_group_congruence(g).rel == sigma
+        for rho in all_congruences(g).congruences:
+            closure = EquivRelation.from_pairs(
+                g.order,
+                (
+                    (a, b)
+                    for a, b in pairs
+                    if any(rho.related(mul(e, a), mul(e, b)) for e in ids)
+                ),
+            )
+            assert ag_group_closure(rho).rel == closure
+            least = EquivRelation.from_pairs(
+                g.order,
+                (
+                    (a, b)
+                    for a, b in pairs
+                    if rho.related(square[a], square[b])
+                    and any(
+                        rho.related(e, square[a]) and mul(e, a) == mul(e, b)
+                        for e in ids
+                    )
+                ),
+            )
+            assert trace_min(rho).rel == least
 
 
 # every operator image on every congruence of the running example

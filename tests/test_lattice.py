@@ -140,6 +140,13 @@ def test_kernel_classes(f1_report):
     assert kernel_class(f1_report, 3) == (3, 4)
 
 
+@pytest.mark.parametrize("index", [-1, 5])
+@pytest.mark.parametrize("helper", [trace_class, kernel_class])
+def test_class_helpers_reject_indices_outside_the_lattice(f1_report, helper, index):
+    with pytest.raises(AlgebraError, match=f"^index {index} names no congruence"):
+        helper(f1_report, index)
+
+
 def test_fundamental_congruences(f1_report):
     assert fundamental_congruences(f1_report) == (3, 4)
 

@@ -274,6 +274,12 @@ def test_subgroupoid_requires_closure(f1):
         subgroupoid(f1, [0, 1])
 
 
+@pytest.mark.parametrize("outside", [-1, 4])
+def test_subgroupoid_rejects_elements_outside_the_carrier(f1, outside):
+    with pytest.raises(AlgebraError, match=f"^element {outside} out of range"):
+        subgroupoid(f1, [outside])
+
+
 def test_idempotent_semilattice(f1):
     e = idempotent_semilattice(f1)
     assert e.names == ("e", "f")

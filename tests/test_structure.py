@@ -15,6 +15,7 @@ from aggroupoids import (
     upward_closure,
 )
 from aggroupoids.errors import (
+    AlgebraError,
     InvalidStructure,
     NotCommutativeInverseSemigroup,
     NotCompletelyInverse,
@@ -73,6 +74,20 @@ def test_structure_validation_catches_bad_maps():
         compose(swapped)
 
 
+def test_map_images_reads_each_pair_and_rejects_an_incomparable_one():
+    s = collapsing_strong_semilattice()
+    for alpha, beta, images in s.maps:
+        assert s.map_images(alpha, beta) is images
+    # maps run down the index chain from 0 to 1, never back up
+    with pytest.raises(AlgebraError, match=r"no map for index pair \(1, 0\)"):
+        s.map_images(1, 0)
+    # the lookup table is no field: equality and repr read maps alone
+    again = StrongSemilattice(s.semilattice, s.components, tuple(reversed(s.maps)))
+    assert again != s
+    assert StrongSemilattice(s.semilattice, s.components, s.maps) == s
+    assert "_images_of" not in repr(s)
+
+
 def test_compose_rejects_maps_that_do_not_compose_along_a_chain():
     # Z2 at the top and bottom of the chain 0 < 1 < 2, the trivial group
     # between them: the composite 2 -> 1 -> 0 is constant, so the direct
@@ -127,6 +142,12 @@ def test_upward_closure(f1):
     assert upward_closure(f1, {2}) == frozenset({2, 3})
     assert upward_closure(f1, {0}) == frozenset({0, 1})
     assert upward_closure(f1, {2, 3}) == frozenset({2, 3})
+
+
+@pytest.mark.parametrize("outside", [-1, 4])
+def test_upward_closure_rejects_elements_outside_the_carrier(f1, outside):
+    with pytest.raises(AlgebraError, match=f"^element {outside} out of range"):
+        upward_closure(f1, [outside])
 
 
 def test_normality(f1):

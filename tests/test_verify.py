@@ -91,6 +91,28 @@ def test_only_the_constructing_modules_trust_a_congruence():
     assert callers <= {"congruences.py", "lattice.py", "canonical.py"}
 
 
+def test_the_battery_borrows_no_private_canonical_helper():
+    # a check that called canonical's private helpers would share the
+    # closed form it checks, so a wrong helper could pass unnoticed
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_canonical"
+        and node.attr.startswith("_")
+    ]
+    private += [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "canonical"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_only_selects_a_single_check():
     results = verify.run_all(bound=2, only="thm-mu-least-semilattice")
     assert len(results) == 1
@@ -150,6 +172,26 @@ def test_a_trusted_site_that_lies_is_detected(monkeypatch):
     (result,) = verify.run_all(bound=3, only="thm-mu-greatest-idempotent-separating")
     assert lies
     assert not result.passed
+
+
+@pytest.mark.parametrize(
+    "check_id, detail",
+    [
+        (
+            "thm-trace-class-isomorphism",
+            "trace class is not the interval between its extreme forms",
+        ),
+        ("thm-sigma-least-ag-group", "scan finds a different least group congruence"),
+        ("thm-group-join-sandwich", "multiplier description fails"),
+    ],
+)
+def test_a_wrong_least_idempotent_is_detected(monkeypatch, check_id, detail):
+    """sigma, its join and trace_min group by a least idempotent; the
+    battery checks each against a definition that uses no such helper."""
+    monkeypatch.setattr(canonical, "_least_idempotent", lambda g, ids: max(ids))
+    (result,) = verify.run_all(bound=3, only=check_id)
+    assert not result.passed
+    assert detail in result.detail
 
 
 def test_mutation_does_not_leak_between_runs():
