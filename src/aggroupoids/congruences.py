@@ -90,7 +90,19 @@ class EquivRelation:
     def from_keys(cls, keys: Iterable[Hashable]) -> "EquivRelation":
         """Relate x and y exactly when keys[x] == keys[y]."""
         block_of = _canonical_labels(keys)
-        return cls(len(block_of), block_of)
+        if not block_of:
+            raise AlgebraError("partition does not match the carrier size")
+        return cls._trusted(block_of)
+
+    @classmethod
+    def _trusted(cls, block_of: tuple[int, ...]) -> "EquivRelation":
+        """A relation built without the __post_init__ validation, for a
+        nonempty tuple of least-member labels, such as _canonical_labels
+        returns."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "order", len(block_of))
+        object.__setattr__(rel, "block_of", block_of)
+        return rel
 
     @classmethod
     def from_pairs(cls, order: int, pairs: Iterable[tuple[int, int]]) -> "EquivRelation":

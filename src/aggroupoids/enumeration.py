@@ -18,9 +18,14 @@ The search yields exactly one table of each isomorphism class, by
 orderly generation (R. C. Read, "Every one a winner", Ann. Discrete
 Math. 2, 1978; compare B. McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998). Cells are filled shell by shell: shell k holds
-the cells whose larger index is k-1, in row-major order, so once the
-last cell of shell k is filled the k x k block of the table is
-complete. Read in fill order, that block is then compared with its
+the cells whose larger index is k-1, so once the last cell of shell k
+is filled the k x k block of the table is complete. Within a shell each
+cell (k-1, j) comes right before its transpose (j, k-1), j ascending,
+and (k-1, k-1) comes last: an instance of the left invertive or the
+swap law ties a cell to cells in the transposed position, so this order
+closes instances, and rejects values, sooner than row-major order
+would. The argument below holds for any order inside a shell.
+Read in fill order, the completed block is then compared with its
 relabelings by each permutation q of 0..k-1 that fixes every larger
 element and maps the prefill onto itself, and the partial table is
 dropped if one of them is strictly smaller. Each cell also tries only
@@ -192,6 +197,10 @@ def _fill_order(n, prefill) -> tuple:
     """The free cells of a search in fill order, each as (larger of row
     and column, position, row, column, shell test).
 
+    Shell k, the cells whose larger index is k-1, fills (k-1, 0),
+    (0, k-1), (k-1, 1), (1, k-1), ..., (k-1, k-1): each cell right before
+    its transpose (see the module docstring).
+
     prefill is a sorted tuple of (position, value) pairs. The shell test
     is None except on the last free cell of shell k, if some
     permutation q of 0..k-1 other than the identity fixes every larger
@@ -201,7 +210,7 @@ def _fill_order(n, prefill) -> tuple:
     same block of the table relabeled by one such q.
     """
     filled = dict(prefill)
-    cells = sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
+    cells = sorted(range(n * n), key=lambda p: (max(divmod(p, n)), min(divmod(p, n)), -p))
     free = []
     for k in range(1, n + 1):
         shell = [p for p in cells[(k - 1) ** 2:k * k] if p not in filled]
@@ -226,7 +235,8 @@ def _shell_test(n, k, filled, block):
 def _complete(T, W, n, free, start, m, checks, out):
     """Fill the cells free[start:] and record each table reached.
 
-    free comes from _fill_order. W is T's value index: a value is
+    free comes from _fill_order: shell by shell, each cell of a shell
+    next to its transpose. W is T's value index: a value is
     appended to it as the cell takes it and popped as the cell gives it
     up, so it follows the backtracking. m is the largest element
     mentioned by the cells filled so far: their rows, columns and

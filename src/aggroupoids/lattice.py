@@ -142,7 +142,7 @@ def _partition_labels(n: int) -> Iterator[tuple[int, ...]]:
 
 def iter_partitions(n: int) -> Iterator[EquivRelation]:
     """All partitions of 0..n-1 in restricted-growth order."""
-    return (EquivRelation(n, block_of) for block_of in _partition_labels(n))
+    return (EquivRelation._trusted(block_of) for block_of in _partition_labels(n))
 
 
 def _markers_for(
@@ -217,7 +217,7 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
         if _compatibility_witness(table, block_of) is None
     ]
     labels.sort(key=lambda block_of: (-len(set(block_of)), block_of))
-    rels = [EquivRelation(g.order, block_of) for block_of in labels]
+    rels = [EquivRelation._trusted(block_of) for block_of in labels]
     # the scan has just tested each of these labels for compatibility
     congruences = tuple(Congruence._trusted(g, rel) for rel in rels)
     masks = [_pair_mask(rel) for rel in rels]

@@ -16,6 +16,7 @@ checks of the left invertive, swap and associative laws nest no loops.
 The inverse map of a completely inverse table, or the message saying why
 there is none, is computed once per Groupoid object, on first use, and
 kept on it; require_completely_inverse and is_completely_inverse read it.
+The tuple of idempotents is kept the same way, by idempotents.
 """
 
 from __future__ import annotations
@@ -94,9 +95,14 @@ class Groupoid:
                 if not isinstance(value, int) or not 0 <= value < n:
                     raise AlgebraError(f"table entry {value!r} out of range")
         object.__setattr__(self, "elements", _element_range(n))
+        # the caches of _inverse_map and idempotents, empty until first
+        # use; set on every carrier so that both stay in its inline
+        # attribute values (see _inverse_map)
+        object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_idempotents", None)
 
     def __getstate__(self):
-        # the fields only: the inverse map kept by _inverse_map stays out
+        # the fields only: what _inverse_map and idempotents keep stays out
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
@@ -368,7 +374,14 @@ def is_semilattice(g: Groupoid) -> bool:
 
 
 def idempotents(g: Groupoid) -> tuple[int, ...]:
-    return tuple(x for x in g.elements if g.table[x][x] == x)
+    """The idempotents of g in increasing order, computed on first use
+    and kept on g as the private attribute _idempotents, outside its
+    fields like _inverse (see _inverse_map)."""
+    found = getattr(g, "_idempotents", None)
+    if found is None:
+        found = tuple(x for x in g.elements if g.table[x][x] == x)
+        object.__setattr__(g, "_idempotents", found)
+    return found
 
 
 def left_identities(g: Groupoid) -> tuple[int, ...]:
@@ -397,9 +410,14 @@ def _inverse_map(g: Groupoid) -> "tuple[int, ...] | str":
     computed on first use and kept on g.
 
     It is kept as the private attribute _inverse, which is not a field,
-    so equality, hash, repr and pickles ignore it. object.__setattr__
-    stores it with the fields; a cached_property would give g a separate
-    __dict__, which costs memory and slows every later attribute read.
+    so equality, hash, repr and pickles ignore it; an unpickled carrier
+    has no _inverse until first use. object.__setattr__ stores it with
+    the fields; a cached_property would give g a separate __dict__,
+    which costs memory and slows every later attribute read. So does an
+    attribute first set after CPython has sized a carrier's inline
+    values: each carrier gets room for the attributes earlier carriers
+    had, plus one, which is why __post_init__ sets _inverse and
+    _idempotents to None.
     """
     inverse = getattr(g, "_inverse", None)
     if inverse is None:

@@ -88,6 +88,24 @@ def test_from_keys_relates_exactly_the_equal_keys(keys):
             assert rel.related(a, b) == (keys[a] == keys[b])
 
 
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.tuples(st.integers(0, 2), st.sampled_from("ab"))),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_from_keys_passes_the_validating_constructor(keys):
+    # from_keys skips the __post_init__ validation; this keeps it checked
+    rel = EquivRelation.from_keys(keys)
+    assert EquivRelation(rel.order, rel.block_of) == rel
+
+
+def test_from_keys_rejects_no_keys():
+    with pytest.raises(AlgebraError):
+        EquivRelation.from_keys([])
+
+
 @given(paired_relations())
 def test_meet_relates_the_common_pairs(rels):
     p, q, _ = rels

@@ -259,6 +259,33 @@ def test_are_isomorphic(f1):
     assert canonical_form(f1) == canonical_form(shuffled)
 
 
+def test_fill_order_puts_each_cell_next_to_its_transpose():
+    order = [(r, c) for _, _, r, c, _ in enumeration._fill_order(4, ())]
+    assert order == [
+        (0, 0),
+        (1, 0), (0, 1), (1, 1),
+        (2, 0), (0, 2), (2, 1), (1, 2), (2, 2),
+        (3, 0), (0, 3), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "prefill",
+    [{i * 4 + i: i for i in range(4)}, {j: j for j in range(4)}],
+    ids=["diagonal", "row 0"],
+)
+def test_fill_order_skips_the_prefill_and_tests_only_shell_ends(prefill):
+    full = [(r, c) for _, _, r, c, _ in enumeration._fill_order(4, ())]
+    free = enumeration._fill_order(4, tuple(sorted(prefill.items())))
+    assert [(r, c) for _, _, r, c, _ in free] == [
+        cell for cell in full if cell[0] * 4 + cell[1] not in prefill
+    ]
+    for i, (top, pos, r, c, test) in enumerate(free):
+        assert top == max(r, c) and pos == r * 4 + c
+        last_of_shell = i + 1 == len(free) or free[i + 1][0] != top
+        assert test is None or last_of_shell
+
+
 def test_bound_errors_name_the_limit():
     with pytest.raises(BoundExceeded) as err:
         enumerate_groupoids(EnumerationSpec(5, "ag"))

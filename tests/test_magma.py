@@ -252,6 +252,20 @@ def test_the_cached_inverse_map_stays_out_of_identity(fixture, request):
     assert again == g and require_completely_inverse(again) == require_completely_inverse(g)
 
 
+@pytest.mark.parametrize("fixture", ["f1", "f2", "collapse"])
+def test_idempotents_are_kept_once_per_carrier_outside_identity(fixture, request):
+    fresh = request.getfixturevalue(fixture)
+    g = Groupoid(fresh.names, fresh.table)
+    before = (hash(g), repr(g), pickle.dumps(g))
+    first = idempotents(g)
+    assert idempotents(g) is first
+    assert g == Groupoid(fresh.names, fresh.table)
+    assert (hash(g), repr(g), pickle.dumps(g)) == before
+    again = pickle.loads(pickle.dumps(g))
+    assert getattr(again, "_idempotents", None) is None
+    assert again == g and idempotents(again) == first
+
+
 @given(tables(), st.booleans())
 def test_is_completely_inverse_agrees_with_classify(data, required_first):
     n, rows = data
