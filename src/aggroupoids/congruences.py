@@ -446,17 +446,37 @@ def _block_label(g: Groupoid, block: tuple[int, ...]) -> str:
     return "{" + ",".join(g.names[x] for x in block) + "}"
 
 
-def quotient(c: Congruence) -> Quotient:
-    """The groupoid on blocks; well defined by compatibility."""
-    g = c.groupoid
-    blocks = c.rel.blocks()
-    names = tuple(_block_label(g, block) for block in blocks)
-    index_of_block = {block[0]: i for i, block in enumerate(blocks)}
-    projection = tuple(index_of_block[c.rel.block_of[x]] for x in g.elements)
-    table = tuple(
-        tuple(projection[g.table[block_a[0]][block_b[0]]] for block_b in blocks)
-        for block_a in blocks
+def _quotient_table(table, block_of: Sequence[int]):
+    """The least members of the blocks in ascending order, the index of
+    each element's block among them, and the product of least members
+    read through that projection: for a compatible partition, the
+    quotient table on the blocks in that order."""
+    leaders = sorted(set(block_of))
+    index = {b: i for i, b in enumerate(leaders)}
+    projection = tuple(index[b] for b in block_of)
+    return leaders, projection, tuple(
+        tuple(projection[table[a][b]] for b in leaders) for a in leaders
     )
+
+
+def _bare_quotient(g: Groupoid, block_of: Sequence[int]) -> Groupoid:
+    """The quotient by a compatible partition, each block named by its
+    least member and built without validation, for the law tests; its
+    names are distinct whatever g's names are."""
+    leaders, _, table = _quotient_table(g.table, block_of)
+    return Groupoid._trusted(tuple(g.names[b] for b in leaders), table)
+
+
+def quotient(c: Congruence) -> Quotient:
+    """The groupoid on blocks; well defined by compatibility.
+
+    Each block is named "{a,b,...}" after its members and the result
+    is validated, so this raises AlgebraError when two labels collide:
+    on a carrier named "a", "b" and "a,b", the block of a and b is
+    labelled like the element "a,b". _bare_quotient has no such names."""
+    g = c.groupoid
+    _, projection, table = _quotient_table(g.table, c.rel.block_of)
+    names = tuple(_block_label(g, block) for block in c.rel.blocks())
     return Quotient(Groupoid(names, table), projection)
 
 

@@ -6,13 +6,19 @@ structure: trace and kernel classes (both are intervals), the trace
 homomorphism onto the idempotent semilattice's lattice, fundamental
 congruences, and the E-unitary families indexed by normal subgroupoids.
 
+The scan grows least-member label tuples one element at a time and
+cuts a prefix once element i has joined the block of b while a left or
+right translate of i and the same translate of b are labelled and in
+different blocks. An extension changes no label, so that pair stays
+split and no extension is a congruence. Every tuple that survives the cut still goes through the
+full compatibility test, so the congruences kept are exactly the
+compatible partitions; a relation is built only for those.
+
 The congruences are sorted by decreasing number of blocks, so no
 relation comes after one strictly above it. The report keeps the order
 once, as `up` and `down` index masks that compare related-pair bit
 masks, and computes meet and join on demand from them (see
-`all_congruences`), without building any relation. The scan tests each
-partition as a label tuple and builds a relation only for the
-congruences.
+`all_congruences`), without building any relation.
 
 On a completely inverse table the fundamental and E-disjunctive markers
 are read off the same masks: a congruence is a fixed point of
@@ -21,7 +27,9 @@ are read off the same masks: a congruence is a fixed point of
 tests of the laws they name on the quotient: the battery checks the
 closed forms of the least semilattice, AG-group and E-unitary
 congruences against them, and a marker read as "lies above the closed
-form" would make those checks restate themselves.
+form" would make those checks restate themselves. All markers are read
+from the label tuples, the laws on the quotient table over the blocks'
+least members.
 """
 
 from __future__ import annotations
@@ -44,10 +52,11 @@ from .magma import (
 from .congruences import (
     Congruence,
     EquivRelation,
+    _bare_quotient,
+    _canonical_labels,
     _compatibility_witness,
     format_partition,
     kernel,
-    quotient,
     trace,
 )
 from .canonical import _grouped_by_idempotent, max_idempotent_separating
@@ -121,23 +130,40 @@ class LatticeReport:
         return len(self.congruences) - 1
 
 
-def _partition_labels(n: int) -> Iterator[tuple[int, ...]]:
+def _partition_labels(n: int, table=None) -> list[tuple[int, ...]]:
     """The least-member `block_of` tuple of every partition of 0..n-1,
     in restricted-growth order: each element joins the blocks opened so
-    far, by ascending least member, and then opens a new block."""
+    far, by ascending least member, and then opens a new block.
+
+    The tuples grow one element at a time, level by level. Given a
+    table, a prefix is dropped as soon as `_translates_agree` fails on
+    it; the tuples left still need the full compatibility test."""
     if n < 1:
         raise AlgebraError(f"no partitions of a carrier of size {n}")
+    columns = None if table is None else tuple(zip(*table))
+    level = [((0,), (0,))]  # (prefix, least members of its blocks)
+    for i in range(1, n):
+        grown = []
+        for prefix, leaders in level:
+            for b in leaders:
+                labels = prefix + (b,)
+                if table is None or _translates_agree(table, columns, labels, b):
+                    grown.append((labels, leaders))
+            grown.append((prefix + (i,), leaders + (i,)))
+        level = grown
+    return [labels for labels, _ in level]
 
-    def extend(prefix, leaders):
-        i = len(prefix)
-        if i == n:
-            yield prefix
-            return
-        for b in leaders:
-            yield from extend(prefix + (b,), leaders)
-        yield from extend(prefix + (i,), leaders + (i,))
 
-    return extend((0,), (0,))
+def _translates_agree(table, columns, labels: tuple[int, ...], b: int) -> bool:
+    """False when the last labelled element, placed in the block of b,
+    and b have a left or right translate pair labelled in two blocks."""
+    k = len(labels)
+    i = k - 1
+    for translates in (zip(columns[i], columns[b]), zip(table[i], table[b])):
+        for x, y in translates:
+            if x < k and y < k and labels[x] != labels[y]:
+                return False
+    return True
 
 
 def iter_partitions(n: int) -> Iterator[EquivRelation]:
@@ -146,17 +172,18 @@ def iter_partitions(n: int) -> Iterator[EquivRelation]:
 
 
 def _markers_for(
-    c: Congruence, fundamental: bool | None, e_disjunctive: bool | None
+    g: Groupoid,
+    block_of: tuple[int, ...],
+    fundamental: bool | None,
+    e_disjunctive: bool | None,
 ) -> CongruenceMarkers:
-    g = c.groupoid
     ids = idempotents(g)
-    labels = c.rel.block_of
-    id_blocks = {labels[e] for e in ids}
-    q = quotient(c).groupoid
+    id_blocks = {block_of[e] for e in ids}
+    q = _bare_quotient(g, block_of)
     return CongruenceMarkers(
         idempotent_separating=len(id_blocks) == len(ids),
         idempotent_pure=not any(
-            labels[a] in id_blocks for a in g.elements if a not in ids
+            block_of[a] in id_blocks for a in g.elements if a not in ids
         ),
         semilattice=is_semilattice(q),
         ag_group=is_ag_group(q),
@@ -175,34 +202,56 @@ def _class_tops(up: Sequence[int], keys: Sequence) -> list[bool]:
     return [(up[i] & same[key]) == 1 << i for i, key in enumerate(keys)]
 
 
-def _pair_mask(rel: EquivRelation) -> int:
+def _kernel_key(block_of: tuple[int, ...], ids: tuple[int, ...]) -> tuple[bool, ...]:
+    """Whether each element lies in the block of an idempotent."""
+    id_blocks = {block_of[e] for e in ids}
+    return tuple(b in id_blocks for b in block_of)
+
+
+def _pair_mask(block_of: tuple[int, ...]) -> int:
     """Bit a*n + b is set when a < b are related; containment of these
     masks is refinement of the relations."""
-    return sum(1 << (a * rel.order + b) for a, b in rel.pairs())
+    n = len(block_of)
+    return sum(
+        1 << (a * n + b)
+        for b in range(n)
+        for a in range(b)
+        if block_of[a] == block_of[b]
+    )
 
 
 def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     """Filter every partition of the carrier; the default bound keeps
     the scan at 203 partitions or fewer.
 
-    The scan tests each partition's label tuple against the table and
-    builds a relation only for the congruences. They are sorted by
-    (-number of blocks, block_of): the identity comes first, the
-    universal relation last, and a congruence strictly above another
-    has fewer blocks and so a larger index. The report keeps the `up`
-    and `down` index masks, which compare bit masks of related pairs.
-    Every common upper bound of i and j other than their join has fewer
-    blocks than the join, so the join is the lowest index among the
-    common upper bounds; dually, the meet is the highest index among
-    the common lower bounds. `LatticeReport` computes both on demand.
+    The scan grows label tuples one element at a time and drops a
+    prefix once its last element i and the least member b of the block
+    it joins have a labelled left or right translate pair in different
+    blocks: an extension changes no label, so that pair stays split in
+    every partition the prefix grows into. Every tuple that survives
+    still goes through the full compatibility test, so the congruences
+    kept are exactly the compatible partitions. A relation is built
+    only for them; everything else reads their label tuples.
+
+    They are sorted by (-number of blocks, block_of): the identity
+    comes first, the universal relation last, and a congruence strictly
+    above another has fewer blocks and so a larger index. The report
+    keeps the `up` and `down` index masks, which compare bit masks of
+    related pairs. Every common upper bound of i and j other than their
+    join has fewer blocks than the join, so the join is the lowest
+    index among the common upper bounds; dually, the meet is the
+    highest index among the common lower bounds. `LatticeReport`
+    computes both on demand.
 
     On a completely inverse table a congruence is fundamental when it
     is the top of its trace class, and E-disjunctive when it is the top
     of its kernel class; both classes are intervals, so these markers
-    are read off the index masks too, keyed by `trace` and `kernel`.
-    The semilattice, ag-group and e-unitary markers test the quotient,
-    so that the battery checks comparing them with the closed-form
-    least congruences (`thm-mu-least-semilattice`,
+    are read off the index masks too, keyed by the labels of the
+    idempotents (the trace) and by which elements share a block with an
+    idempotent (the kernel). The semilattice, ag-group and e-unitary
+    markers test the quotient table on the blocks' least members, so
+    that the battery checks comparing them with the closed-form least
+    congruences (`thm-mu-least-semilattice`,
     `thm-sigma-least-ag-group`, `thm-pi-least-e-unitary`) compare two
     independent readings.
     """
@@ -213,14 +262,15 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     table = g.table
     labels = [
         block_of
-        for block_of in _partition_labels(g.order)
+        for block_of in _partition_labels(g.order, table)
         if _compatibility_witness(table, block_of) is None
     ]
     labels.sort(key=lambda block_of: (-len(set(block_of)), block_of))
-    rels = [EquivRelation._trusted(block_of) for block_of in labels]
     # the scan has just tested each of these labels for compatibility
-    congruences = tuple(Congruence._trusted(g, rel) for rel in rels)
-    masks = [_pair_mask(rel) for rel in rels]
+    congruences = tuple(
+        Congruence._trusted(g, EquivRelation._trusted(block_of)) for block_of in labels
+    )
+    masks = [_pair_mask(block_of) for block_of in labels]
     # by the sort, a congruence lies below another only at an equal or
     # larger index, so each pair i <= j is compared once
     up = [0] * len(masks)
@@ -231,13 +281,16 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
     if is_completely_inverse(g):
-        fundamental = _class_tops(up, [trace(c) for c in congruences])
-        e_disjunctive = _class_tops(up, [kernel(c) for c in congruences])
+        ids = idempotents(g)
+        fundamental = _class_tops(
+            up, [_canonical_labels(block_of[e] for e in ids) for block_of in labels]
+        )
+        e_disjunctive = _class_tops(up, [_kernel_key(block_of, ids) for block_of in labels])
     else:
         fundamental = e_disjunctive = [None] * len(congruences)
     markers = tuple(
-        _markers_for(c, f, e)
-        for c, f, e in zip(congruences, fundamental, e_disjunctive)
+        _markers_for(g, block_of, f, e)
+        for block_of, f, e in zip(labels, fundamental, e_disjunctive)
     )
     return LatticeReport(g, congruences, markers, tuple(up), tuple(down))
 

@@ -94,12 +94,26 @@ class Groupoid:
             for value in row:
                 if not isinstance(value, int) or not 0 <= value < n:
                     raise AlgebraError(f"table entry {value!r} out of range")
-        object.__setattr__(self, "elements", _element_range(n))
+        self._set_derived()
+
+    def _set_derived(self):
+        object.__setattr__(self, "elements", _element_range(len(self.names)))
         # the caches of _inverse_map and idempotents, empty until first
         # use; set on every carrier so that both stay in its inline
         # attribute values (see _inverse_map)
         object.__setattr__(self, "_inverse", None)
         object.__setattr__(self, "_idempotents", None)
+
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]) -> "Groupoid":
+        """A groupoid built without the __post_init__ validation, for
+        distinct names and a square table of indices in range, such as
+        a quotient table read off a compatible partition."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "names", names)
+        object.__setattr__(g, "table", table)
+        g._set_derived()
+        return g
 
     def __getstate__(self):
         # the fields only: what _inverse_map and idempotents keep stays out
@@ -486,7 +500,8 @@ def _ag_group_by_solutions(g: Groupoid) -> bool:
 
 def is_ag_group(g: Groupoid) -> bool:
     """Left invertive with every xa = b uniquely solvable and a left identity."""
-    return is_left_invertive(g) and _ag_group_by_solutions(g)
+    # the O(n^2) column test first: most tables fail it
+    return _ag_group_by_solutions(g) and is_left_invertive(g)
 
 
 def _ag_group_by_inverses(g: Groupoid) -> bool:

@@ -69,6 +69,21 @@ def test_lattice(f1_path):
     assert "meet:" in out and "join:" in out and "markers:" in out
 
 
+def test_block_labels_that_collide_with_an_element_name(tmp_path):
+    """On the null table named a, b and "a,b" the block of a and b is
+    labelled like the element "a,b"; the markers read a quotient named
+    by least members, so both commands list all 5 partitions."""
+    null = tmp_path / "null.mag"
+    null.write_text("3\na b a,b\na a a\na a a\na a a\n")
+    code, out, err = run(["congruences", str(null)])
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 5
+    assert out.splitlines()[1] == "1: a b | a,b  [idempotent-separating]"
+    code, out, err = run(["lattice", str(null)])
+    assert code == 0 and err == ""
+    assert out.split("meet:\n")[0].count("\n") == 1 + 5
+
+
 def test_decompose_compose_round_trip(f1_path, tmp_path):
     code, structure, _ = run(["decompose", f1_path])
     assert code == 0

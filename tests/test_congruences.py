@@ -24,6 +24,7 @@ from aggroupoids import (
     syntactic_congruence,
     trace,
 )
+from aggroupoids.congruences import _bare_quotient
 from aggroupoids.errors import (
     AlgebraError,
     InvalidCongruencePair,
@@ -307,12 +308,25 @@ def test_quotient_of_the_running_example(f1, f1_report):
     q = quotient(f1_report.congruences[1])
     assert q.groupoid.names == ("{a,e}", "{b}", "{f}")
     assert q.projection == (0, 1, 0, 2)
+    # the markers' quotient is the same table, named by least members
+    bare = _bare_quotient(f1, f1_report.congruences[1].rel.block_of)
+    assert bare.names == ("a", "b", "f")
+    assert bare.table == q.groupoid.table
     # the projection is an operation-preserving map
     for a in f1.elements:
         for b in f1.elements:
             assert q.projection[f1.mul(a, b)] == q.groupoid.mul(
                 q.projection[a], q.projection[b]
             )
+
+
+def test_quotient_raises_when_block_labels_collide():
+    # the block of a and b is labelled "{a,b}", like the element "a,b"
+    g = Groupoid.from_function(("a", "b", "a,b"), lambda x, y: 0)
+    c = Congruence(g, EquivRelation.from_blocks(3, [(0, 1), (2,)]))
+    with pytest.raises(AlgebraError, match="duplicate element names"):
+        quotient(c)
+    assert _bare_quotient(g, c.rel.block_of).names == ("a", "a,b")
 
 
 def test_induced_congruence(f1, f1_report):

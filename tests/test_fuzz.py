@@ -4,7 +4,8 @@ parsers and the command line, and only `AlgebraError` may escape.
 Each example starts from a valid text (a table, one of its congruences
 as a partition, or its decomposition into a strong semilattice) and
 applies a few edits: delete, insert or repeat a slice, replace a token,
-or swap two lines.
+or swap two lines. Valid tables with names built from `,`, `{` and `}`
+must pass both lattice commands.
 """
 
 import contextlib
@@ -14,10 +15,18 @@ import pathlib
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aggroupoids import all_congruences, cli, parse_mag
+from aggroupoids import (
+    EnumerationSpec,
+    all_congruences,
+    cli,
+    enumerate_groupoids,
+    format_mag,
+    parse_mag,
+)
 from aggroupoids.congruences import format_partition, parse_partition
 from aggroupoids.errors import AlgebraError
-from aggroupoids.magma import is_completely_inverse
+from aggroupoids.magma import Groupoid, is_completely_inverse
+from aggroupoids.samples import chain_semilattice, subtraction_mod
 from aggroupoids.structure import (
     compose,
     decompose,
@@ -125,3 +134,60 @@ def test_cli_exits_0_or_2_on_mutated_tables(tmp_path_factory, text):
             rc = cli.main([command, str(path)])
         assert rc in (0, 2), (command, rc)
         assert (rc == 2) == err.getvalue().startswith("error: ")
+
+
+# Left invertive tables of order 1-5: the ag classes up to order 4, an
+# AG-group, a semilattice and the null table of order 5.
+AG_TABLES = [
+    g.table
+    for n in (1, 2, 3, 4)
+    for g in enumerate_groupoids(EnumerationSpec(n, "ag"))
+] + [subtraction_mod(5).table, chain_semilattice(5).table, ((0,) * 5,) * 5]
+
+
+def _listed(command, out):
+    if command == "lattice":
+        out = out.split("congruences:\n", 1)[1].split("meet:\n", 1)[0]
+    return len(out.splitlines())
+
+
+@st.composite
+def named_tables(draw):
+    """A table of order at most 5, left invertive or not, named by
+    tokens over "a", "b", "{" and "}"; from order 3 on, one name is two
+    others joined by ",", so that a block label like "{a,b}" can equal
+    it."""
+    table = draw(
+        st.sampled_from(AG_TABLES)
+        | st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
+                min_size=n,
+                max_size=n,
+            ).map(tuple)
+        )
+    )
+    n = len(table)
+    token = st.text(alphabet="ab{}", min_size=1, max_size=3)
+    names = draw(st.lists(token, min_size=n, max_size=n, unique=True))
+    if n >= 3:
+        # the block of a and b is labelled "{<a>,<b>}", as is {<z>}
+        x, y, z = draw(st.permutations(range(n)))[:3]
+        a, b = sorted((x, y))
+        names[z] = names[a] + "," + names[b]
+    return Groupoid(tuple(names), table)
+
+
+@settings(FUZZ, max_examples=30)
+@given(named_tables())
+def test_lattice_commands_accept_any_valid_names(tmp_path_factory, g):
+    path = tmp_path_factory.mktemp("names") / "table.mag"
+    path.write_text(format_mag(g), encoding="utf-8")
+    counts = []
+    for command in ("congruences", "lattice"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([command, str(path)])
+        assert rc == 0, (command, err.getvalue())
+        counts.append(_listed(command, out.getvalue()))
+    assert counts[0] == counts[1] == len(all_congruences(g).congruences)

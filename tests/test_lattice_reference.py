@@ -13,16 +13,32 @@ universe is every `ag` class representative of order 1-4, every
 completely inverse one of order 5, and composed tables of order 5 and
 6, one of them left invertive but not completely inverse. The order,
 meet and join are also checked on the order-7 chain (64 congruences).
+
+The pruned partition scan is checked against the unpruned filter, and
+the markers against the reference, on the `ag` classes of order 1-4,
+every `demos/data` table, and the order-7 chain and null table.
 """
 
 import itertools
+import pathlib
 
 import pytest
 
-from aggroupoids import EnumerationSpec, all_congruences, classify, enumerate_groupoids
+from aggroupoids import (
+    EnumerationSpec,
+    all_congruences,
+    classify,
+    enumerate_groupoids,
+    parse_mag,
+)
 from aggroupoids.canonical import kernel_max, trace_max
-from aggroupoids.congruences import EquivRelation, quotient
-from aggroupoids.lattice import CongruenceMarkers
+from aggroupoids.congruences import (
+    EquivRelation,
+    _compatibility_witness,
+    is_congruence,
+    quotient,
+)
+from aggroupoids.lattice import CongruenceMarkers, _partition_labels, iter_partitions
 from aggroupoids.magma import Groupoid, idempotents, is_idempotent_table
 from aggroupoids.samples import (
     chain_semilattice,
@@ -109,14 +125,21 @@ def _composed_tables():
 
 
 UNIVERSES = ["ag-1", "ag-2", "ag-3", "ag-4", "ci-5", "composed"]
+SCAN_UNIVERSES = ["ag-1", "ag-2", "ag-3", "ag-4", "golden", "chain-7", "null-7"]
 CLASS_OF_PREFIX = {"ag": "ag", "ci": "completely-inverse"}
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def _universe(name):
     if name == "composed":
         return _composed_tables()
+    if name == "golden":
+        paths = sorted(DATA.glob("*.mag"))
+        return [parse_mag(path.read_text(encoding="utf-8")) for path in paths]
     if name == "chain-7":
         return [chain_semilattice(7)]
+    if name == "null-7":
+        return [Groupoid.from_function(tuple(f"x{i}" for i in range(7)), lambda a, b: 0)]
     prefix, n = name.split("-")
     return enumerate_groupoids(EnumerationSpec(int(n), CLASS_OF_PREFIX[prefix]))
 
@@ -179,10 +202,38 @@ def test_tables_match_the_relation_oracle(universe):
                 assert report.join(i, j) == index[p.join(q)]
 
 
-@pytest.mark.parametrize("universe", UNIVERSES)
+@pytest.mark.parametrize("universe", SCAN_UNIVERSES)
+def test_pruned_scan_keeps_exactly_the_congruences(universe):
+    """With the prefix cut or without it, the tuples that pass the
+    compatibility test are those of iter_partitions that is_congruence
+    accepts; the cut drops tuples but keeps the order of the rest."""
+    for g in _universe(universe):
+        expected = sorted(
+            rel.block_of for rel in iter_partitions(g.order) if is_congruence(g, rel)
+        )
+        every = _partition_labels(g.order)
+        pruned = _partition_labels(g.order, g.table)
+        rest = iter(every)
+        assert all(labels in rest for labels in pruned)
+        for scanned in (every, pruned):
+            kept = [b for b in scanned if _compatibility_witness(g.table, b) is None]
+            assert sorted(kept) == expected
+        report = all_congruences(g, bound=7)
+        assert sorted(c.rel.block_of for c in report.congruences) == expected
+
+
+def test_the_prefix_cut_drops_partitions():
+    # on the order-7 chain the cut leaves exactly the 64 congruences of
+    # its 877 partitions
+    g = chain_semilattice(7)
+    assert len(_partition_labels(7)) == 877
+    assert len(_partition_labels(7, g.table)) == 64
+
+
+@pytest.mark.parametrize("universe", sorted(set(UNIVERSES + SCAN_UNIVERSES)))
 def test_markers_match_the_classify_reference(universe):
     for g in _universe(universe):
-        report = all_congruences(g)
+        report = all_congruences(g, bound=7)
         completely_inverse = classify(g).is_completely_inverse
         assert report.markers == tuple(
             _reference_markers(c, completely_inverse) for c in report.congruences
