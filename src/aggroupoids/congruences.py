@@ -10,7 +10,7 @@ idempotents, and both directions of that correspondence live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -26,6 +26,7 @@ from .magma import (
     Groupoid,
     idempotents,
     is_ag_star_star,
+    is_completely_inverse,
     require_completely_inverse,
     subgroupoid,
 )
@@ -228,12 +229,17 @@ class Congruence:
     library uses it only where rel is compatible by construction (the
     lattice scan, generated congruences, meets and joins) or by a
     theorem the verify battery tests on its own.
+
+    quotient(c) keeps its result on c as the private attribute _quotient,
+    outside the fields like the carrier caches of magma._inverse_map.
     """
 
     groupoid: Groupoid
     rel: EquivRelation
 
     def __post_init__(self):
+        # quotient's cache, set on every congruence (see magma._inverse_map)
+        object.__setattr__(self, "_quotient", None)
         g, rel = self.groupoid, self.rel
         if rel.order != g.order:
             raise AlgebraError("relation does not match the carrier size")
@@ -252,7 +258,12 @@ class Congruence:
         c = object.__new__(cls)
         object.__setattr__(c, "groupoid", g)
         object.__setattr__(c, "rel", rel)
+        object.__setattr__(c, "_quotient", None)
         return c
+
+    def __getstate__(self):
+        # the fields only: what quotient keeps stays out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def related(self, a: int, b: int) -> bool:
         return self.rel.related(a, b)
@@ -316,12 +327,19 @@ def congruence_generated_by(g: Groupoid, pairs: Iterable[tuple[int, int]]) -> Co
 
 
 def kernel(c: Congruence) -> frozenset[int]:
-    """Union of classes containing idempotents; must agree with the
-    square characterization {a : a related to a*a}."""
+    """Union of classes containing idempotents.
+
+    On a carrier that is not completely inverse this must agree with the
+    square characterization {a : a related to a*a}, else KernelMismatch.
+    On a completely inverse one the two agree by a theorem that
+    thm-idempotent-classes-contain-idempotents checks, so only the class
+    reading is computed."""
     g = c.groupoid
     labels = c.rel.block_of
     id_labels = {labels[e] for e in idempotents(g)}
     by_classes = frozenset(a for a in g.elements if labels[a] in id_labels)
+    if is_completely_inverse(g):
+        return by_classes
     by_squares = frozenset(
         a for a in g.elements if c.related(a, g.table[a][a])
     )
@@ -473,11 +491,16 @@ def quotient(c: Congruence) -> Quotient:
     Each block is named "{a,b,...}" after its members and the result
     is validated, so this raises AlgebraError when two labels collide:
     on a carrier named "a", "b" and "a,b", the block of a and b is
-    labelled like the element "a,b". _bare_quotient has no such names."""
-    g = c.groupoid
-    _, projection, table = _quotient_table(g.table, c.rel.block_of)
-    names = tuple(_block_label(g, block) for block in c.rel.blocks())
-    return Quotient(Groupoid(names, table), projection)
+    labelled like the element "a,b". _bare_quotient has no such names.
+    The result is built once per congruence object and kept on it."""
+    q = getattr(c, "_quotient", None)
+    if q is None:
+        g = c.groupoid
+        _, projection, table = _quotient_table(g.table, c.rel.block_of)
+        names = tuple(_block_label(g, block) for block in c.rel.blocks())
+        q = Quotient(Groupoid(names, table), projection)
+        object.__setattr__(c, "_quotient", q)
+    return q
 
 
 def _require_same_groupoid(c1: Congruence, c2: Congruence) -> None:

@@ -7,7 +7,11 @@ every product of the law, so a check visits only the instances that
 cell can complete. Next to the table the search keeps a value index W,
 the filled cells grouped by value, from which a check reads the cells
 whose value is the new cell's row or column instead of scanning the
-table for them. The completely inverse class has a second, independent
+table for them. Before a cell tries any value, each law's forcer,
+compiled from the same term, lets the cell be a whole side of the law
+and reads the other side off known cells: one reading is the only
+value the cell tries, two different readings drop the partial table.
+The completely inverse class has a second, independent
 generator that builds strong semilattices of AG-groups: it composes
 every family of homomorphisms between the components, and compose
 rejects the families whose maps do not compose along a chain of the
@@ -51,6 +55,34 @@ both keep the swap above, which fixes 0. So every search yields exactly
 one table per isomorphism class. The shell tests of each order and
 prefill are built the first time that search runs, and kept.
 
+Two prunings leave this output unchanged, table for table and in the
+same order. The first is the first-cell bound. Relabeling a table by p
+puts p(T[a][a]) in cell (0, 0), where a = p^-1(0): 0 exactly when a is
+idempotent, 1 exactly when p^-1(1) = T[a][a], and 2 or more otherwise.
+Cell (0, 0) comes first in row-major and in fill order, and it holds 0
+or 1: the least-number rule allows no more, and the prefills in use put
+0 there. A relabeling whose first cell is larger than the table's is
+larger, and one whose first cell is smaller is smaller. So the least
+relabeling is the least of those whose first cell is the least any
+relabeling gives (0 when an element is idempotent, else 1, which
+p^-1(0) = a and p^-1(1) = T[a][a] give for any a), and a shell test
+fails at once when one of its relabelings puts 0 first and the block
+starts with 1, and otherwise compares only the relabelings whose first
+cell equals the block's. The relabelers are grouped once by
+(p^-1(0), p^-1(1)) for this, per order and per shell test, so the
+groups to compare are read off the diagonal.
+
+The second is forcing. When the new cell can be a whole side of a law
+and an instance's other side reads known cells only, a value v of the
+cell other than that reading fails the instance, and the law's check
+visits the instance once the cell holds v, since the cells it reads
+other than the new one are unchanged. So a forcer drops only values a
+check would reject: after one reading f the cell tries f alone, and
+only if the least-number rule allows it (f <= m+1), after two different
+readings none. Every value tried still passes every check, so the
+search keeps and yields the same tables. The distinct-columns check
+of the AG-group search has no forcer.
+
 Tables enumerate up to isomorphism by default: each found table is
 replaced by its least relabeling in row-major order, which need not be
 the one the search kept, and the results are sorted. Labeled
@@ -62,10 +94,6 @@ each permutation of an order, `_relabelers` keeps one
 and one 256-byte `bytes.translate` map that relabels the values, so a
 relabeling is two C-level calls. Row-major order on flat tables is the
 order on tuples of rows, so the least relabeling is the least bytes.
-The table of relabelers is built once per order, the first time that
-order is relabeled, and kept: it holds n! entries, about 70 kB at
-order 5, 3 MB at order 7, 35 MB (built in about half a second) at
-order 8, and more than ten times that at order 9.
 """
 
 from __future__ import annotations
@@ -82,6 +110,7 @@ from .magma import (
     LEFT_INVERTIVE,
     SWAP_LAW,
     Groupoid,
+    _forcer,
     _incremental_check,
     is_completely_inverse,
 )
@@ -124,17 +153,62 @@ def _relabeler(p, n, positions):
     return cells, bytes(p) + bytes(range(n, 256))
 
 
+def _by_first_cell(n, k, perms, positions) -> tuple:
+    """The relabelers of the given positions by permutations p of 0..n-1
+    that move only 0..k-1, as a k x k grid: grid[a][b] holds those of
+    the p with p^-1(0) = a and p^-1(1) = b, in the order given."""
+    grid = [[[] for _ in range(k)] for _ in range(k)]
+    for p in perms:
+        # an order-1 table has no element 1: its one relabeler is at (0, 0)
+        grid[p.index(0)][p.index(min(1, k - 1))].append(_relabeler(p, n, positions))
+    return tuple(tuple(map(tuple, row)) for row in grid)
+
+
 @lru_cache(maxsize=None)
 def _relabelers(n) -> tuple:
     """The relabeler of the whole flat table by each permutation of
-    0..n-1, in lexicographic order."""
-    return tuple(_relabeler(p, n, range(n * n)) for p in itertools.permutations(range(n)))
+    0..n-1, grouped by first cell (see _by_first_cell).
+
+    Built the first time order n is relabeled, and kept: it holds n!
+    relabelers, about 70 kB at order 5, 3 MB at order 7, 36 MB (built
+    in under a second) at order 8, and more than ten times that at
+    order 9; the grid adds n^2 small tuples."""
+    return _by_first_cell(n, n, itertools.permutations(range(n)), range(n * n))
+
+
+def _tied(T, n, grid):
+    """(0, the groups of the grid of _by_first_cell whose relabelers put
+    0 in the first cell of the flat n x n table T) when there are some,
+    else (1, the groups that put 1 there).
+
+    A relabeler by p puts p(T[a][a]) in cell (0, 0), a = p^-1(0): that is
+    0 exactly when a is idempotent, and 1 exactly when p^-1(1) = T[a][a].
+    Only the diagonal cells (a, a) of the grid's k x k block are read.
+    """
+    k = len(grid)
+    diagonal = T[:k * (n + 1):n + 1]
+    zero = [group for a, t in enumerate(diagonal) if t == a for group in grid[a] if group]
+    if zero:
+        return 0, zero
+    return 1, [grid[a][t] for a, t in enumerate(diagonal) if t < k and grid[a][t]]
+
+
+def _least_relabeling(flat, n) -> bytes:
+    """The least relabeling of a flat table: the least of those whose
+    first cell is the least any relabeling has."""
+    _, groups = _tied(flat, n, _relabelers(n))
+    return min(bytes(cells(flat)).translate(values) for group in groups for cells, values in group)
 
 
 def _relabelings(flat, n) -> list:
     """A flat table relabeled by each permutation of its elements, as
     bytes, with repeats when it has automorphisms."""
-    return [bytes(cells(flat)).translate(values) for cells, values in _relabelers(n)]
+    return [
+        bytes(cells(flat)).translate(values)
+        for row in _relabelers(n)
+        for group in row
+        for cells, values in group
+    ]
 
 
 def _flat(table) -> bytes:
@@ -148,12 +222,12 @@ def _rows(flat, n) -> tuple:
 def canonical_table(table) -> tuple:
     """Least relabeling of a table; equal exactly on isomorphic inputs."""
     n = len(table)
-    return _rows(min(_relabelings(_flat(table), n)), n)
+    return _rows(_least_relabeling(_flat(table), n), n)
 
 
 def _fold(found, n) -> tuple:
     """Canonical tables of flat search output, sorted, without repeats."""
-    return tuple(_rows(t, n) for t in sorted({min(_relabelings(f, n)) for f in found}))
+    return tuple(_rows(t, n) for t in sorted({_least_relabeling(f, n) for f in found}))
 
 
 def canonical_form(g: Groupoid) -> tuple:
@@ -166,20 +240,26 @@ def are_isomorphic(g: Groupoid, h: Groupoid) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
+_LAW_TERMS = {
+    "left-invertive": LEFT_INVERTIVE,
+    "swap": SWAP_LAW,
+    "associative": ASSOCIATIVE,
+    "commutative": COMMUTATIVE,
+}
+
 # incremental checks over a flat table T, -1 meaning unknown, and its
 # value index W, W[w] listing the (row, column) of each known cell that
 # holds w; each runs once cell (r, c) holds v and W[v] lists it. A law's
 # check is compiled from its term (see magma._incremental_source), and
 # distinct-columns keeps v out of the rest of column c
-_LAW_CHECKS = {
-    "left-invertive": _incremental_check(*LEFT_INVERTIVE),
-    "swap": _incremental_check(*SWAP_LAW),
-    "associative": _incremental_check(*ASSOCIATIVE),
-    "commutative": _incremental_check(*COMMUTATIVE),
-    "distinct-columns": lambda T, W, n, r, c, v: all(
-        x == r or y != c for x, y in W[v]
-    ),
-}
+_LAW_CHECKS = {name: _incremental_check(*law) for name, law in _LAW_TERMS.items()}
+_LAW_CHECKS["distinct-columns"] = lambda T, W, n, r, c, v: all(
+    x == r or y != c for x, y in W[v]
+)
+
+# the forcer of each law, run on a free cell before it tries a value
+# (see magma._forcing_source); distinct-columns has none
+_LAW_FORCERS = {name: _forcer(*law) for name, law in _LAW_TERMS.items()}
 
 
 def _value_index(T, n):
@@ -199,15 +279,13 @@ def _fill_order(n, prefill) -> tuple:
 
     Shell k, the cells whose larger index is k-1, fills (k-1, 0),
     (0, k-1), (k-1, 1), (1, k-1), ..., (k-1, k-1): each cell right before
-    its transpose (see the module docstring).
+    its transpose (see the module docstring). Cell (0, 0) is first.
 
     prefill is a sorted tuple of (position, value) pairs. The shell test
     is None except on the last free cell of shell k, if some
     permutation q of 0..k-1 other than the identity fixes every larger
-    element and maps the prefill onto itself. There it is (cells,
-    relabelers): cells gathers the k x k block of a flat table in fill
-    order, and each relabeler (gather, values) of _relabeler reads the
-    same block of the table relabeled by one such q.
+    element and maps the prefill onto itself. There it is (cells, grid)
+    from _shell_test.
     """
     filled = dict(prefill)
     cells = sorted(range(n * n), key=lambda p: (max(divmod(p, n)), min(divmod(p, n)), -p))
@@ -222,17 +300,22 @@ def _fill_order(n, prefill) -> tuple:
 
 def _shell_test(n, k, filled, block):
     """The shell test of _fill_order for the k x k block, listed by its
-    positions in fill order."""
-    relabelers = []
+    positions in fill order: (cells, grid), where cells gathers that
+    block of a flat table, and grid groups by first cell (see
+    _by_first_cell) the relabelers (gather, values) of _relabeler that
+    read the same block of the table relabeled by each allowed q."""
+    allowed = []
     for head in itertools.permutations(range(k)):
         p = head + tuple(range(k, n))
         moved = {p[pos // n] * n + p[pos % n]: p[v] for pos, v in filled.items()}
         if p != tuple(range(n)) and moved == filled:
-            relabelers.append(_relabeler(p, n, block))
-    return (operator.itemgetter(*block), tuple(relabelers)) if relabelers else None
+            allowed.append(p)
+    if not allowed:
+        return None
+    return operator.itemgetter(*block), _by_first_cell(n, k, allowed, block)
 
 
-def _complete(T, W, n, free, start, m, checks, out):
+def _complete(T, W, n, free, start, m, checks, forcers, out):
     """Fill the cells free[start:] and record each table reached.
 
     free comes from _fill_order: shell by shell, each cell of a shell
@@ -242,9 +325,11 @@ def _complete(T, W, n, free, start, m, checks, out):
     mentioned by the cells filled so far: their rows, columns and
     values. Prefilled cells do not count; every prefill in use (an
     idempotent diagonal, an identity row 0) is fixed by each permutation
-    fixing 0, and m >= 0 once a cell is filled. A cell that completes a
-    shell keeps a value only if the block it completes is least in fill
-    order among the block's relabelings.
+    fixing 0, and m >= 0 once a cell is filled. The forcers of the laws
+    run before the cell tries a value: a reading f leaves f alone to
+    try, if f <= m+1, and -2 (two readings) leaves none. A cell that
+    completes a shell keeps a value only if the block it completes is
+    least in fill order among the block's relabelings.
     """
     if start == len(free):
         out.append(tuple(T))
@@ -252,8 +337,15 @@ def _complete(T, W, n, free, start, m, checks, out):
     top, pos, r, c, shell = free[start]
     if top > m:
         m = top
+    f = -1
+    for force in forcers:
+        f = force(T, W, n, r, c, f)
+        if f < -1:
+            return
+    if f > m + 1:
+        return
     cell = r, c
-    for v in range(min(n, m + 2)):
+    for v in range(min(n, m + 2)) if f < 0 else (f,):
         T[pos] = v
         cells = W[v]
         cells.append(cell)
@@ -261,17 +353,28 @@ def _complete(T, W, n, free, start, m, checks, out):
             if not fn(T, W, n, r, c, v):
                 break
         else:
-            if shell is None or _least_block(T, *shell):
-                _complete(T, W, n, free, start + 1, v if v > m else m, checks, out)
+            if shell is None or _least_block(T, n, *shell):
+                _complete(T, W, n, free, start + 1, v if v > m else m, checks, forcers, out)
         cells.pop()
     T[pos] = -1
 
 
-def _least_block(T, cells, relabelers):
+def _least_block(T, n, cells, grid):
     """Whether no relabeler of a shell test gives a block of T smaller
-    than the block itself."""
+    than the block itself.
+
+    The block's first cell, (0, 0), holds 0 or 1. A relabeler that puts
+    a smaller value there gives a smaller block, one that puts a larger
+    value a larger block, so only those of _tied are compared (none
+    when no relabeler puts 0 or 1 there).
+    """
+    least, groups = _tied(T, n, grid)
+    if least != T[0]:
+        return least > T[0]
     block = bytes(cells(T))
-    return all(bytes(gather(T)).translate(values) >= block for gather, values in relabelers)
+    return all(
+        bytes(gather(T)).translate(values) >= block for group in groups for gather, values in group
+    )
 
 
 def _search_tables(n, laws, prefill=None):
@@ -283,6 +386,7 @@ def _search_tables(n, laws, prefill=None):
     relabelings (see _complete and the module docstring).
     """
     checks = tuple(_LAW_CHECKS[name] for name in laws)
+    forcers = tuple(_LAW_FORCERS[name] for name in laws if name in _LAW_FORCERS)
     prefill = prefill or {}
     T = [prefill.get(p, -1) for p in range(n * n)]
     W = _value_index(T, n)
@@ -293,7 +397,7 @@ def _search_tables(n, laws, prefill=None):
             return []
     free = _fill_order(n, tuple(sorted(prefill.items())))
     out = []
-    _complete(T, W, n, free, 0, -1, checks, out)
+    _complete(T, W, n, free, 0, -1, checks, forcers, out)
     return out
 
 

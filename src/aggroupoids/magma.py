@@ -12,6 +12,9 @@ cell can complete. The search also passes a value index W, W[w] listing
 the cells that hold w; a block whose operand is a product of two free
 variables walks the cells W holds for that operand's value, so the
 checks of the left invertive, swap and associative laws nest no loops.
+_forcer compiles the same blocks, for the sides of the law, into the
+search's forcer: the value a law leaves a free cell, read off known
+cells before the cell tries any.
 
 The inverse map of a completely inverse table, or the message saying why
 there is none, is computed once per Groupoid object, on first use, and
@@ -22,6 +25,7 @@ The tuple of idempotents is kept the same way, by idempotents.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -235,8 +239,84 @@ def _incremental_source(lhs, rhs) -> str:
     cell known. W[w] lists the (row, column) of every known cell holding
     w, (r, c) in W[v] included.
 
-    One block per distinct product lets the new cell play that role: its
-    operands come to r and c, and it is v. Operand variables are bound.
+    One block per distinct product lets the new cell play that role (see
+    _role_block), with the role's value v known before any loop; each
+    instance compares the two sides.
+    """
+    variables, products, local = _terms(lhs, rhs)
+    lines = ["def check(T, W, n, r, c, v):"]
+    for role in products:
+        indent = _role_block(lines, role, lhs, rhs, variables, products, local)
+        lines += [f"{indent}if {local[lhs]} != {local[rhs]}:", f"{indent}    return False"]
+    lines.append("    return True")
+    return "\n".join(lines) + "\n"
+
+
+def _forcing_source(lhs, rhs) -> "str | None":
+    """Python source of force(T, W, n, r, c, f) over the table and value
+    index of _incremental_source, whose cell (r, c) is still unknown: the
+    one value the law leaves that cell, read off known cells, or -2 when
+    two readings differ. f is a reading already made (-1 for none) and
+    is returned unchanged when this law reads none. None when neither
+    side of the law is a product the cell can be.
+
+    One block per side that is a product lets the cell be that whole
+    side (see _role_block); each instance whose other side is known reads
+    it as the cell's value. A block is left out when its other side
+    contains that product, which would read the unknown cell, and the
+    rhs block when a renaming of the variables swaps the two sides, as
+    it does for the left invertive, swap and commutative laws: each
+    instance the rhs block reads is then one the lhs block reads. The cell
+    is unknown, so it reads only instances that check reads once the
+    cell holds a value v, with the same other side: a v other than a
+    reading fails check, and the search may try the reading alone.
+    """
+    variables, products, local = _terms(lhs, rhs)
+    lines = ["def force(T, W, n, r, c, f):"]
+    sides = ((lhs, rhs),) if _mirrored(lhs, rhs) else ((lhs, rhs), (rhs, lhs))
+    for role, other in sides:
+        if not isinstance(role, tuple) or role == other or _contains(other, role):
+            continue
+        indent = _role_block(lines, role, lhs, rhs, variables, products, local, known=False)
+        side = local[other]
+        lines += [
+            f"{indent}if f != {side}:",
+            f"{indent}    if f >= 0:",
+            f"{indent}        return -2",
+            f"{indent}    f = {side}",
+        ]
+    if len(lines) == 1:
+        return None
+    lines.append("    return f")
+    return "\n".join(lines) + "\n"
+
+
+def _mirrored(lhs, rhs) -> bool:
+    """Whether some renaming of the variables swaps lhs and rhs."""
+    variables = sorted(_variables(lhs) | _variables(rhs))
+
+    def renamed(term, rename):
+        if isinstance(term, str):
+            return rename[term]
+        return renamed(term[0], rename), renamed(term[1], rename)
+
+    for image in itertools.permutations(variables):
+        rename = dict(zip(variables, image))
+        if renamed(lhs, rename) == rhs and renamed(rhs, rename) == lhs:
+            return True
+    return False
+
+
+def _contains(term, sub) -> bool:
+    return term == sub or (isinstance(term, tuple) and any(_contains(t, sub) for t in term))
+
+
+def _role_block(lines, role, lhs, rhs, variables, products, local, known=True) -> str:
+    """Append to lines the block of one role of _incremental_source or
+    _forcing_source, up to its innermost instance, and return that
+    instance's indent. The role is v when known, else left unread.
+
+    The role's operands come to r and c. Operand variables are bound.
     An operand that is a product of two distinct variables, neither bound
     yet, binds both with one loop over the cells W holds for its value;
     the remaining variables get a loop over range(n) each, the role's
@@ -248,81 +328,76 @@ def _incremental_source(lhs, rhs) -> str:
     are those of _identity_source; a row offset a * n read in a deeper
     loop is hoisted to where a is known, as r<name of a>.
     """
-    variables, products, local = _terms(lhs, rhs)
-    lines = ["def check(T, W, n, r, c, v):"]
-    for role in products:
-        left, right = role
-        inside = _variables(role)
-        bound = [x for x in variables if x in role]
-        # W binds an operand product of two distinct free variables; any
-        # other keeps its scan: with one free variable that is one loop,
-        # while W[r] may hold n^2 cells, and an operand on both sides is
-        # tested against r and c
-        indexed, taken = {}, set(bound)
-        for operand, cell in ((left, "r"), (right, "c")):
-            if (
-                left != right
-                and isinstance(operand, tuple)
-                and operand[0] != operand[1]
-                and all(isinstance(x, str) and x not in taken for x in operand)
-            ):
-                indexed[operand] = cell
-                taken.update(operand)
-        loops = sorted(set(variables) - taken, key=lambda x: (x not in inside, x))
-        depth = dict.fromkeys(bound, 0)
-        for i, operand in enumerate(indexed, 1):
-            depth.update(dict.fromkeys(operand, i))
-        depth.update((x, len(indexed) + i) for i, x in enumerate(loops, 1))
-        for term in products:
-            # the role is v, known before any loop
-            depth[term] = 0 if term == role else max(depth[term[0]], depth[term[1]])
-        hoisted = {t[0] for t in products if t != role and depth[t] > depth[t[0]]}
-        within = {role}
-        for term in reversed(products):
-            if term in within:
-                within.update(term)
-        computed = [t for t in products if t not in indexed]
-        indent = "    "
-        for term in sorted(
-            [*bound, *indexed, *loops, *computed],
-            key=lambda t: (depth[t], t in computed, t not in within),
+    left, right = role
+    inside = _variables(role)
+    bound = [x for x in variables if x in role]
+    # W binds an operand product of two distinct free variables; any
+    # other keeps its scan: with one free variable that is one loop,
+    # while W[r] may hold n^2 cells, and an operand on both sides is
+    # tested against r and c
+    indexed, taken = {}, set(bound)
+    for operand, cell in ((left, "r"), (right, "c")):
+        if (
+            left != right
+            and isinstance(operand, tuple)
+            and operand[0] != operand[1]
+            and all(isinstance(x, str) and x not in taken for x in operand)
         ):
-            name = local[term]
-            if term in bound:
-                steps = [f"{name} = {'r' if term == left else 'c'}"]
-                if term == left == right:
-                    steps.append(f"if {name} == c:")
-            elif term in indexed:
-                a, b = term
-                steps = [f"for {local[a]}, {local[b]} in W[{indexed[term]}]:"]
-                steps += [f"r{local[x]} = {local[x]} * n" for x in term if x in hoisted]
-                if term in {lhs, rhs}.union(*(t for t in products if t != role)):
-                    steps.append(f"{name} = {indexed[term]}")
-            elif term in loops:
-                steps = [f"for {name} in range(n):"]
-            elif term == role:
-                steps = [f"{name} = v"]
-            else:
-                a, b = term
-                row = f"r{local[a]}" if a in hoisted else f"{local[a]} * n"
-                tests = [f"{name} == {x}" for x, o in (("r", left), ("c", right)) if o == term]
-                test = " and ".join(tests) or f"{name} >= 0"
-                steps = [f"{name} = T[{row} + {local[b]}]", f"if {test}:"]
-            if term in hoisted:
-                steps.append(f"r{name} = {name} * n")
-            for step in steps:
-                lines.append(indent + step)
-                indent += "    " * step.endswith(":")
-        lines += [f"{indent}if {local[lhs]} != {local[rhs]}:", f"{indent}    return False"]
-    lines.append("    return True")
-    return "\n".join(lines) + "\n"
+            indexed[operand] = cell
+            taken.update(operand)
+    loops = sorted(set(variables) - taken, key=lambda x: (x not in inside, x))
+    depth = dict.fromkeys(bound, 0)
+    for i, operand in enumerate(indexed, 1):
+        depth.update(dict.fromkeys(operand, i))
+    depth.update((x, len(indexed) + i) for i, x in enumerate(loops, 1))
+    for term in products:
+        # the role is v, known before any loop
+        depth[term] = 0 if term == role else max(depth[term[0]], depth[term[1]])
+    hoisted = {t[0] for t in products if t != role and depth[t] > depth[t[0]]}
+    within = {role}
+    for term in reversed(products):
+        if term in within:
+            within.update(term)
+    computed = [t for t in products if t not in indexed and (known or t != role)]
+    indent = "    "
+    for term in sorted(
+        [*bound, *indexed, *loops, *computed],
+        key=lambda t: (depth[t], t in computed, t not in within),
+    ):
+        name = local[term]
+        if term in bound:
+            steps = [f"{name} = {'r' if term == left else 'c'}"]
+            if term == left == right:
+                steps.append(f"if {name} == c:")
+        elif term in indexed:
+            a, b = term
+            steps = [f"for {local[a]}, {local[b]} in W[{indexed[term]}]:"]
+            steps += [f"r{local[x]} = {local[x]} * n" for x in term if x in hoisted]
+            if term in {lhs, rhs}.union(*(t for t in products if t != role)):
+                steps.append(f"{name} = {indexed[term]}")
+        elif term in loops:
+            steps = [f"for {name} in range(n):"]
+        elif term == role:
+            steps = [f"{name} = v"]
+        else:
+            a, b = term
+            row = f"r{local[a]}" if a in hoisted else f"{local[a]} * n"
+            tests = [f"{name} == {x}" for x, o in (("r", left), ("c", right)) if o == term]
+            test = " and ".join(tests) or f"{name} >= 0"
+            steps = [f"{name} = T[{row} + {local[b]}]", f"if {test}:"]
+        if term in hoisted:
+            steps.append(f"r{name} = {name} * n")
+        for step in steps:
+            lines.append(indent + step)
+            indent += "    " * step.endswith(":")
+    return indent
 
 
-def _compiled(source, label):
+def _compiled(source, label, name="check"):
     # a label per law keeps each compiled check apart in a profile
     namespace = {}
     exec(compile(source, label, "exec"), namespace)
-    return namespace["check"]
+    return namespace[name]
 
 
 @functools.lru_cache
@@ -333,6 +408,13 @@ def _compiled_identity(lhs, rhs):
 def _incremental_check(lhs, rhs):
     """The table search's check of lhs = rhs (see _incremental_source)."""
     return _compiled(_incremental_source(lhs, rhs), f"<incremental {lhs} = {rhs}>")
+
+
+def _forcer(lhs, rhs):
+    """The table search's forcer of lhs = rhs (see _forcing_source), or
+    None when the law has none."""
+    source = _forcing_source(lhs, rhs)
+    return source and _compiled(source, f"<forcing {lhs} = {rhs}>", "force")
 
 
 def check_identity(g: Groupoid, lhs, rhs) -> bool:

@@ -1,5 +1,7 @@
 """Equivalence relations, congruences, kernel-trace machinery."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -327,6 +329,21 @@ def test_quotient_raises_when_block_labels_collide():
     with pytest.raises(AlgebraError, match="duplicate element names"):
         quotient(c)
     assert _bare_quotient(g, c.rel.block_of).names == ("a", "a,b")
+
+
+@pytest.mark.parametrize("trusted", [False, True])
+def test_quotient_is_kept_once_per_congruence_outside_identity(f1, trusted):
+    rel = EquivRelation.from_blocks(4, [(0, 2), (1,), (3,)])
+    build = Congruence._trusted if trusted else Congruence
+    c = build(f1, rel)
+    before = (hash(c), repr(c), pickle.dumps(c))
+    first = quotient(c)
+    assert quotient(c) is first
+    assert c == Congruence(f1, rel)
+    assert (hash(c), repr(c), pickle.dumps(c)) == before
+    again = pickle.loads(pickle.dumps(c))
+    assert getattr(again, "_quotient", None) is None
+    assert again == c and quotient(again) == first
 
 
 def test_induced_congruence(f1, f1_report):

@@ -29,6 +29,7 @@ from aggroupoids.magma import (
     is_ag_star_star,
     is_completely_inverse,
     is_idempotent_table,
+    _forcer,
     _incremental_check,
 )
 from aggroupoids.samples import cyclic_group, inverse_monoid4
@@ -244,6 +245,50 @@ def test_incremental_checks_agree_with_check_identity(data):
             ok = check(T, W, n, *divmod(pos, n), cells[pos])
             assert ok == (step not in failing), (lhs, rhs, T, pos)
         assert (not failing) == check_identity(g, lhs, rhs)
+
+
+# each forcer with the check of its law; the terms of MORE_TERMS reach
+# shapes of the forcer source the search laws lack
+FORCERS = [(enumeration._LAW_FORCERS[name], _LAW_CHECKS[name]) for name in LAW_TERMS] + [
+    (force, _incremental_check(*law)) for law in MORE_TERMS if (force := _forcer(*law))
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_forcers_drop_only_values_the_check_rejects(data):
+    # a forcer reads the free cell's value off known cells: when it
+    # reads one value every other value must fail the law's incremental
+    # check, and when it reads two every value must; a reading passed in
+    # is kept when the law reads nothing or the same, else it conflicts
+    n = data.draw(st.integers(1, 5))
+    cells = data.draw(st.lists(st.integers(-1, n - 1), min_size=n * n, max_size=n * n))
+    pos = data.draw(st.integers(0, n * n - 1))
+    cells[pos] = -1
+    r, c = divmod(pos, n)
+    prior = data.draw(st.integers(-1, n - 1))
+    for force, check in FORCERS:
+        T = list(cells)
+        W = [[] for _ in range(n)]
+        for p, w in enumerate(T):
+            if w >= 0:
+                W[w].append(divmod(p, n))
+        f = force(T, W, n, r, c, -1)
+        assert -2 <= f < n
+        for v in range(n):
+            T[pos] = v
+            W[v].append((r, c))
+            if f == -2 or 0 <= f != v:
+                assert not check(T, W, n, r, c, v), (T, pos, f, v)
+            W[v].pop()
+            T[pos] = -1
+        expected = prior if f == -1 else f if prior in (-1, f) else -2
+        assert force(T, W, n, r, c, prior) == expected
+
+
+def test_distinct_columns_has_no_forcer():
+    assert set(enumeration._LAW_FORCERS) == set(LAW_TERMS)
+    assert set(_LAW_CHECKS) - set(enumeration._LAW_FORCERS) == {"distinct-columns"}
 
 
 def test_are_isomorphic(f1):

@@ -13,12 +13,14 @@ at a time, and takes the least.
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggroupoids import EnumerationSpec, classify, enumerate_groupoids
+from aggroupoids import enumeration
 from aggroupoids.enumeration import (
     CLASSES,
     _LAW_CHECKS,
@@ -221,3 +223,71 @@ def test_canonical_table_matches_the_reference_on_the_order_4_ag_search():
     assert all(canonical_table(t) == c for t, c in expected.items())
     reps = {g.table for g in enumerate_groupoids(EnumerationSpec(4, "ag"))}
     assert reps == set(expected.values())
+
+
+def _edge_tables():
+    """Tables where the first cell of the least relabeling is decided in
+    each way: every table of orders 1 and 2, a -> a+1 mod n (no
+    idempotent, so the first cell is 1), left zero bands (every element
+    idempotent) and seeded order-6 tables, half without idempotents."""
+    for n in (1, 2):
+        for cells in itertools.product(range(n), repeat=n * n):
+            yield tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n))
+    for n in range(2, 7):
+        yield tuple(tuple((a + 1) % n for _ in range(n)) for a in range(n))
+    for n in range(1, 7):
+        yield tuple(tuple(a for _ in range(n)) for a in range(n))
+    rng = random.Random(6)
+    for k in range(8):
+        rows = [[rng.randrange(6) for _ in range(6)] for _ in range(6)]
+        if k % 2:
+            for a in range(6):
+                rows[a][a] = (a + rng.randrange(1, 6)) % 6
+        yield tuple(map(tuple, rows))
+
+
+def test_canonical_table_matches_the_reference_on_first_cell_edge_cases():
+    for table in _edge_tables():
+        assert canonical_table(table) == _reference_canonical(table), table
+
+
+def _reference_least_block(T, n, k, prefill):
+    """Whether the k x k block of the flat table T, read in fill order,
+    is no larger than its relabeling by any permutation of 0..k-1, other
+    than the identity, that maps the prefill onto itself."""
+    block = sorted(
+        ((a, b) for a in range(k) for b in range(k)),
+        key=lambda cell: (max(cell), min(cell), -(cell[0] * n + cell[1])),
+    )
+    values = [T[a * n + b] for a, b in block]
+    for head in itertools.permutations(range(k)):
+        p = head + tuple(range(k, n))
+        moved = {p[pos // n] * n + p[pos % n]: p[v] for pos, v in prefill.items()}
+        if p == tuple(range(n)) or moved != prefill:
+            continue
+        relabeled = {(p[a], p[b]): p[T[a * n + b]] for a, b in block}
+        if [relabeled[cell] for cell in block] < values:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "search,n", [("ag", 4), ("ag-star-star", 4), ("semilattice", 5), ("ag-group", 5)]
+)
+def test_least_block_matches_every_allowed_relabeling(monkeypatch, search, n):
+    # each shell test the search makes, against a comparison with every
+    # relabeling the shell allows, built here from the prefill
+    laws, kind = SEARCHES[search]
+    prefill = _prefill(kind, n)
+    least_block = enumeration._least_block
+    verdicts = []
+
+    def compared(T, order, cells, grid):
+        got = least_block(T, order, cells, grid)
+        assert got == _reference_least_block(T, n, len(grid), prefill or {}), T
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(enumeration, "_least_block", compared)
+    _search_tables(n, laws, prefill)
+    assert True in verdicts and False in verdicts

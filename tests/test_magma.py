@@ -408,6 +408,35 @@ def test_incremental_source_uses_only_generated_names():
         assert magma._identity_source(*clashing) == magma._identity_source(*law)
 
 
+def test_forcing_source_uses_only_generated_names():
+    lhs = (("x y", "1"), ("1", "x y"))
+    rhs = ("x y", ("__import__", "1"))
+    source = magma._forcing_source(lhs, rhs)
+    allowed = re.compile(r"r?[vt]\d+|def|force|T|W|n|r|c|f|range|for|in|if|and|return")
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert allowed.fullmatch(tok.string), tok.string
+    # a variable named f, like the forcer's reading, must not reach it
+    clashing = (("f", "y"), "z"), (("z", "y"), "f")
+    assert magma._forcing_source(*clashing) == magma._forcing_source(*magma.LEFT_INVERTIVE)
+
+
+def test_forcers_read_each_side_once():
+    # renaming x and z swaps the sides of (xy)z = (zy)x, so its rhs block
+    # would read what the lhs block reads; the associative law has no
+    # such renaming, and a law whose sides are variables has no forcer
+    def loops(law):
+        tree = ast.parse(magma._forcing_source(*law))
+        return sum(isinstance(node, ast.For) for node in ast.walk(tree))
+
+    assert loops(magma.LEFT_INVERTIVE) == loops(magma.SWAP_LAW) == 1
+    assert loops(magma.ASSOCIATIVE) == 2
+    assert magma._forcing_source(("x", "y"), ("y", "x")).count("if f != ") == 1
+    assert magma._forcer("x", "y") is None
+    # the lhs block of xx = x(xx) would read the cell itself in x(xx)
+    assert magma._forcing_source(("x", "x"), ("x", ("x", "x"))).count("if f != ") == 1
+
+
 @pytest.mark.parametrize(
     "law", [magma.LEFT_INVERTIVE, magma.SWAP_LAW, magma.ASSOCIATIVE, magma.COMMUTATIVE]
 )
