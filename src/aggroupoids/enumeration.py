@@ -4,10 +4,15 @@ A backtracking search fills the Cayley table cell by cell, rejecting a
 value as soon as it completes a violated law instance. Each law's check
 is compiled from its term in magma: the new cell is tried in the role of
 every product of the law, so a check visits only the instances that
-cell can complete. Next to the table the search keeps a value index W,
-the filled cells grouped by value, from which a check reads the cells
-whose value is the new cell's row or column instead of scanning the
-table for them. Before a cell tries any value, each law's forcer,
+cell can complete. When a renaming of the variables swaps the two sides,
+as x <-> z does for the left invertive law (xy)z = (zy)x and x <-> y for
+the swap and commutative laws, each instance is the same equation as its
+renamed twin, and the cell is tried only in the roles of the products of
+the lhs: the left invertive and swap checks have two blocks, not four,
+and each equation the cell completes is read once. Next to the table
+the search keeps a value index W, the filled cells grouped by value,
+from which a check reads the cells whose value is the new cell's row or
+column instead of scanning the table for them. Before a cell tries any value, each law's forcer,
 compiled from the same term, lets the cell be a whole side of the law
 and reads the other side off known cells: one reading is the only
 value the cell tries, two different readings drop the partial table.

@@ -5,7 +5,12 @@ relabeling.
 The reference search fills the table in row-major order and tries every
 value in every cell, so it lists every labeled table of a class. It
 shares only the incremental law checks (`_LAW_CHECKS`) with the library:
-no cell order, value limit, isomorph fold or relabeling expansion. The
+no cell order, value limit, isomorph fold or relabeling expansion. Those
+are the halved checks, which let the new cell play only the products of
+the lhs of a law whose sides a renaming swaps, so this search cannot
+tell whether they read every equation;
+`tests/test_enumeration.py::test_incremental_checks_agree_with_check_identity`
+ties them, step by step, to a plain evaluator of the law terms. The
 reference canonical form builds every relabeling as row lists, one cell
 at a time, and takes the least.
 """

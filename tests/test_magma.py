@@ -372,6 +372,103 @@ def test_check_identity_matches_the_reference_on_ag_tables(f1, f2, collapse):
     assert satisfied > len(carriers)
 
 
+def _fill_passes(check, g):
+    """Whether every step of filling g's table in row-major order, one
+    cell at a time with the value index kept as the search keeps it,
+    passes the incremental check."""
+    n = g.order
+    T = [-1] * (n * n)
+    W = [[] for _ in range(n)]
+    for pos, v in enumerate(itertools.chain.from_iterable(g.table)):
+        T[pos] = v
+        W[v].append(divmod(pos, n))
+        if not check(T, W, n, *divmod(pos, n), v):
+            return False
+    return True
+
+
+# (ab)(cd) = (dc)(ba): its side swapping renaming exchanges a with d and
+# b with c, where the renamings of the named laws move two variables
+DOUBLE_MIRROR = ((("a", "b"), ("c", "d")), (("d", "c"), ("b", "a")))
+
+
+def test_laws_match_the_reference_on_one_cell_mutants_of_ag_tables():
+    # a mutant of a left invertive table fails few instances, often only
+    # one equation and its mirrored twin, so a scan or a check that skips
+    # one orbit of a mirrored law answers wrongly on some mutant; random
+    # tables fail so many instances that they would not show it
+    classes = enumerate_groupoids(EnumerationSpec(3, "ag"))
+    mutants = [
+        Groupoid(g.names, tuple(
+            tuple(w if (i, j) == (r, c) else g.table[i][j] for j in g.elements)
+            for i in g.elements
+        ))
+        for g in classes
+        for r, c in itertools.product(g.elements, repeat=2)
+        for w in g.elements
+        if w != g.table[r][c]
+    ]
+    assert (len(classes), len(mutants)) == (20, 360)
+    laws = (*NAMED_LAWS, DOUBLE_MIRROR)
+    checks = [(law, magma._incremental_check(*law)) for law in laws]
+    held = dict.fromkeys(laws, 0)
+    for g in mutants:
+        for law, check in checks:
+            expected = reference_check_identity(g, *law)
+            assert check_identity(g, *law) == expected, (law, g.table)
+            assert _fill_passes(check, g) == expected, (law, g.table)
+            held[law] += expected
+    # each law holds on some mutants and fails on others
+    assert all(0 < count < len(mutants) for count in held.values()), held
+
+
+@pytest.mark.parametrize(
+    "law, pair",
+    [
+        (magma.LEFT_INVERTIVE, ("x", "z")),
+        (magma.SWAP_LAW, ("x", "y")),
+        (magma.COMMUTATIVE, ("x", "y")),
+        (magma.MEDIAL, ("b", "c")),
+        (magma.PARAMEDIAL, ("a", "d")),
+        (DOUBLE_MIRROR, ("a", "d")),
+        (magma.ASSOCIATIVE, None),
+        # the identity swaps the sides of t = t but moves no variable
+        (((("x", "y"), "z"), (("x", "y"), "z")), None),
+    ],
+)
+def test_mirror_names_the_pair_a_side_swapping_renaming_exchanges(law, pair):
+    assert magma._mirror(*law) == pair
+
+
+@pytest.mark.parametrize(
+    "law, blocks",
+    [
+        (magma.LEFT_INVERTIVE, 2),
+        (magma.SWAP_LAW, 2),
+        (magma.COMMUTATIVE, 1),
+        (magma.ASSOCIATIVE, 4),
+    ],
+)
+def test_mirrored_laws_get_a_block_per_product_of_the_lhs_only(law, blocks):
+    # one block per distinct product of the law, or of its lhs when a
+    # renaming swaps the sides: the rhs roles read the same equations
+    assert magma._incremental_source(*law).count("return False") == blocks
+
+
+def test_identity_scans_read_each_mirrored_instance_once():
+    # variables loop in sorted order; the second of the mirrored pair
+    # starts at the first's value, since the renaming exchanging them
+    # maps every other instance onto the same equation
+    def loops(law):
+        source = magma._identity_source(*law)
+        return [line.strip() for line in source.splitlines() if "for " in line]
+
+    assert loops(magma.LEFT_INVERTIVE) == ["for v0 in E:", "for v1 in E:", "for v2 in E[v0:]:"]
+    assert loops(magma.MEDIAL)[2] == "for v2 in E[v1:]:"
+    assert loops(magma.PARAMEDIAL)[3] == "for v3 in E[v0:]:"
+    assert not any(":]" in loop for loop in loops(magma.ASSOCIATIVE))
+
+
 def test_identity_source_uses_only_generated_names():
     lhs = (("x y", "1"), ("1", "x y"))
     rhs = ("x y", ("__import__", "1"))
