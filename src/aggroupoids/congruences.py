@@ -230,16 +230,17 @@ class Congruence:
     lattice scan, generated congruences, meets and joins) or by a
     theorem the verify battery tests on its own.
 
-    quotient(c) keeps its result on c as the private attribute _quotient,
-    outside the fields like the carrier caches of magma._inverse_map.
+    quotient(c), kernel(c) and trace(c) keep their results on c as the
+    private attributes _quotient, _kernel and _trace, outside its fields,
+    equality, hash, repr and pickle, like the carrier caches of
+    magma._inverse_map.
     """
 
     groupoid: Groupoid
     rel: EquivRelation
 
     def __post_init__(self):
-        # quotient's cache, set on every congruence (see magma._inverse_map)
-        object.__setattr__(self, "_quotient", None)
+        self._set_derived()
         g, rel = self.groupoid, self.rel
         if rel.order != g.order:
             raise AlgebraError("relation does not match the carrier size")
@@ -258,11 +259,18 @@ class Congruence:
         c = object.__new__(cls)
         object.__setattr__(c, "groupoid", g)
         object.__setattr__(c, "rel", rel)
-        object.__setattr__(c, "_quotient", None)
+        c._set_derived()
         return c
 
+    def _set_derived(self):
+        # the caches of quotient, kernel and trace, set on every
+        # congruence (see magma._inverse_map)
+        object.__setattr__(self, "_quotient", None)
+        object.__setattr__(self, "_kernel", None)
+        object.__setattr__(self, "_trace", None)
+
     def __getstate__(self):
-        # the fields only: what quotient keeps stays out
+        # the fields only: what the caches keep stays out
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def related(self, a: int, b: int) -> bool:
@@ -327,13 +335,21 @@ def congruence_generated_by(g: Groupoid, pairs: Iterable[tuple[int, int]]) -> Co
 
 
 def kernel(c: Congruence) -> frozenset[int]:
-    """Union of classes containing idempotents.
+    """Union of classes containing idempotents, computed once per
+    congruence and kept on it as _kernel.
 
     On a carrier that is not completely inverse this must agree with the
-    square characterization {a : a related to a*a}, else KernelMismatch.
-    On a completely inverse one the two agree by a theorem that
-    thm-idempotent-classes-contain-idempotents checks, so only the class
-    reading is computed."""
+    square characterization {a : a related to a*a}, else KernelMismatch,
+    raised on every call. On a completely inverse one the two agree by a
+    theorem that thm-idempotent-classes-contain-idempotents checks, so
+    only the class reading is computed."""
+    if (found := getattr(c, "_kernel", None)) is None:
+        found = _kernel_of(c)
+        object.__setattr__(c, "_kernel", found)
+    return found
+
+
+def _kernel_of(c: Congruence) -> frozenset[int]:
     g = c.groupoid
     labels = c.rel.block_of
     id_labels = {labels[e] for e in idempotents(g)}
@@ -352,11 +368,15 @@ def kernel(c: Congruence) -> frozenset[int]:
 
 
 def trace(c: Congruence) -> EquivRelation:
-    """Restriction to the idempotents, indexed along their sorted order."""
-    ids = idempotents(c.groupoid)
-    if not ids:
-        raise AlgebraError("no idempotents to restrict to")
-    return c.rel.restrict(ids)
+    """Restriction to the idempotents, indexed along their sorted order;
+    computed once per congruence and kept on it as _trace."""
+    if (found := getattr(c, "_trace", None)) is None:
+        ids = idempotents(c.groupoid)
+        if not ids:
+            raise AlgebraError("no idempotents to restrict to")
+        found = c.rel.restrict(ids)
+        object.__setattr__(c, "_trace", found)
+    return found
 
 
 @dataclass(frozen=True)
@@ -530,7 +550,10 @@ def syntactic_congruence(g: Groupoid, Q: Iterable[int]) -> Congruence:
     Elements are grouped by their probe signature: membership of a,
     of all products x*a and a*y, and of all x*(a*y). The one-sided and
     bare probes stand in for contexts with an absent factor, so no
-    identity element is ever adjoined to the table.
+    identity element is ever adjoined to the table. The membership
+    column left[b] of the products x*b, over all x, is built once per
+    element, and the x*(a*y) probe of a reads left[a*y] for each y, so
+    the signatures cost O(n^2), not O(n^3).
     """
     members = frozenset(Q)
     if not members:
@@ -540,16 +563,13 @@ def syntactic_congruence(g: Groupoid, Q: Iterable[int]) -> Congruence:
     if not is_ag_star_star(g):
         raise NotAgStarStar("the probe relation is a congruence only under both identities")
     table = g.table
+    left = [tuple(row[b] in members for row in table) for b in g.elements]
     signatures = [
         (
             a in members,
-            tuple(table[x][a] in members for x in g.elements),
-            tuple(table[a][y] in members for y in g.elements),
-            tuple(
-                table[x][table[a][y]] in members
-                for x in g.elements
-                for y in g.elements
-            ),
+            left[a],
+            tuple(ay in members for ay in table[a]),
+            tuple(left[ay] for ay in table[a]),
         )
         for a in g.elements
     ]

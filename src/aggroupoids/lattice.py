@@ -16,8 +16,8 @@ compatible partitions; a relation is built only for those.
 
 The congruences are sorted by decreasing number of blocks, so no
 relation comes after one strictly above it. The report keeps the order
-once, as `up` and `down` index masks that compare related-pair bit
-masks, and computes meet and join on demand from them (see
+once, as `up` and `down` index masks read off one column mask per pair
+of elements, and computes meet and join on demand from them (see
 `all_congruences`), without building any relation.
 
 On a completely inverse table the fundamental and E-disjunctive markers
@@ -100,11 +100,22 @@ class CongruenceMarkers:
 
 @dataclass(frozen=True)
 class LatticeReport:
+    """The congruences of a carrier in scan order, their markers, and the
+    order as index masks. index_of keeps its dict from label tuple to
+    index as the private attribute _index, built on first use and kept
+    outside the fields, equality, hash, repr and pickle."""
+
     groupoid: Groupoid
     congruences: tuple[Congruence, ...]
     markers: tuple[CongruenceMarkers, ...]
     up: tuple[int, ...]  # bit j of up[i] is set when congruence i <= congruence j
     down: tuple[int, ...]  # bit i of down[j] is set under the same condition
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", None)
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -116,10 +127,14 @@ class LatticeReport:
         return ((above := self.up[i] & self.up[j]) & -above).bit_length() - 1
 
     def index_of(self, rel: EquivRelation) -> int:
-        for i, c in enumerate(self.congruences):
-            if c.rel == rel:
-                return i
-        raise KeyError("relation is not a congruence of this lattice")
+        index = getattr(self, "_index", None)
+        if index is None:
+            index = {c.rel.block_of: i for i, c in enumerate(self.congruences)}
+            object.__setattr__(self, "_index", index)
+        i = index.get(rel.block_of)
+        if i is None:
+            raise KeyError("relation is not a congruence of this lattice")
+        return i
 
     @property
     def bottom(self) -> int:
@@ -208,18 +223,6 @@ def _kernel_key(block_of: tuple[int, ...], ids: tuple[int, ...]) -> tuple[bool, 
     return tuple(b in id_blocks for b in block_of)
 
 
-def _pair_mask(block_of: tuple[int, ...]) -> int:
-    """Bit a*n + b is set when a < b are related; containment of these
-    masks is refinement of the relations."""
-    n = len(block_of)
-    return sum(
-        1 << (a * n + b)
-        for b in range(n)
-        for a in range(b)
-        if block_of[a] == block_of[b]
-    )
-
-
 def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     """Filter every partition of the carrier; the default bound keeps
     the scan at 203 partitions or fewer.
@@ -236,8 +239,13 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     They are sorted by (-number of blocks, block_of): the identity
     comes first, the universal relation last, and a congruence strictly
     above another has fewer blocks and so a larger index. The report
-    keeps the `up` and `down` index masks, which compare bit masks of
-    related pairs. Every common upper bound of i and j other than their
+    keeps the `up` and `down` index masks, read off one column mask per
+    pair a < b of elements, whose bit i is set when congruence i relates
+    a and b: i <= j exactly when j relates every pair i relates, so
+    `up[i]` is the AND of the columns of the pairs i relates and
+    `down[j]` the AND of the complements of the columns of the pairs j
+    does not relate: O(k n^2) operations on k-bit masks for k
+    congruences. Every common upper bound of i and j other than their
     join has fewer blocks than the join, so the join is the lowest
     index among the common upper bounds; dually, the meet is the
     highest index among the common lower bounds. `LatticeReport`
@@ -270,16 +278,19 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     congruences = tuple(
         Congruence._trusted(g, EquivRelation._trusted(block_of)) for block_of in labels
     )
-    masks = [_pair_mask(block_of) for block_of in labels]
-    # by the sort, a congruence lies below another only at an equal or
-    # larger index, so each pair i <= j is compared once
-    up = [0] * len(masks)
-    down = [0] * len(masks)
-    for j, q in enumerate(masks):
-        for i in range(j + 1):
-            if masks[i] | q == q:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    up = [(1 << len(labels)) - 1] * len(labels)
+    down = up[:]
+    for a, b in itertools.combinations(g.elements, 2):
+        column = 0
+        for i, block_of in enumerate(labels):
+            if block_of[a] == block_of[b]:
+                column |= 1 << i
+        outside = ~column
+        for i, block_of in enumerate(labels):
+            if block_of[a] == block_of[b]:
+                up[i] &= column
+            else:
+                down[i] &= outside
     if is_completely_inverse(g):
         ids = idempotents(g)
         fundamental = _class_tops(

@@ -20,13 +20,14 @@ All three read each equation of a mirrored law once. When a renaming
 of the variables swaps the two sides (_mirror), as for the left
 invertive, swap, commutative, medial and paramedial laws, each instance
 is the same equation as its renamed twin: the scan starts the loop of
-one exchanged variable at the other's value, and the check and the
-forcer let the new cell play only the products of the lhs.
+one exchanged variable at, or just past, the other's value, and the
+check and the forcer let the new cell play only the products of the lhs.
 
 The inverse map of a completely inverse table, or the message saying why
 there is none, is computed once per Groupoid object, on first use, and
 kept on it; require_completely_inverse and is_completely_inverse read it.
-The tuple of idempotents is kept the same way, by idempotents.
+The tuple of idempotents is kept the same way, by idempotents, and so is
+the verdict of is_ag_star_star, which the inverse map reads too.
 """
 
 from __future__ import annotations
@@ -81,7 +82,12 @@ def _element_range(n: int) -> range:
 
 @dataclass(frozen=True)
 class Groupoid:
-    """A finite magma: a tuple of element names and an index Cayley table."""
+    """A finite magma: a tuple of element names and an index Cayley table.
+
+    Each carrier keeps, once computed, its inverse map (_inverse, see
+    _inverse_map), its idempotents (_idempotents) and whether both
+    defining laws hold (_ag_star_star, see is_ag_star_star), as private
+    attributes outside its fields, equality, hash, repr and pickle."""
 
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
@@ -108,11 +114,12 @@ class Groupoid:
 
     def _set_derived(self):
         object.__setattr__(self, "elements", _element_range(len(self.names)))
-        # the caches of _inverse_map and idempotents, empty until first
-        # use; set on every carrier so that both stay in its inline
-        # attribute values (see _inverse_map)
+        # the caches of _inverse_map, idempotents and is_ag_star_star,
+        # empty until first use; set on every carrier so that all three
+        # stay in its inline attribute values (see _inverse_map)
         object.__setattr__(self, "_inverse", None)
         object.__setattr__(self, "_idempotents", None)
+        object.__setattr__(self, "_ag_star_star", None)
 
     @classmethod
     def _trusted(cls, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]) -> "Groupoid":
@@ -126,7 +133,7 @@ class Groupoid:
         return g
 
     def __getstate__(self):
-        # the fields only: what _inverse_map and idempotents keep stays out
+        # the fields only: what the caches keep stays out
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
@@ -214,7 +221,9 @@ def _identity_source(lhs, rhs) -> str:
     loop of b runs over E[a:] only: an instance with b's value below a's
     is the same equation as its renamed twin, which the scan reads. This
     halves the scans of the left invertive and swap laws, and of the
-    medial and paramedial laws.
+    medial and paramedial laws. When that renaming moves a and b only,
+    as for all of these, it maps an instance with equal values of a and
+    b onto itself, so the instance holds and b's loop runs over E[a+1:].
     """
     variables, products, local = _terms(lhs, rhs)
     depth = {v: i for i, v in enumerate(variables)}
@@ -226,9 +235,10 @@ def _identity_source(lhs, rhs) -> str:
         return f"r{local[term]}" if term in hoisted else f"T[{local[term]}]"
 
     mirror = _mirror(lhs, rhs)
+    past = "+1" if len(_side_swap(lhs, rhs)) == 2 else ""
     lines = ["def check(T, E):"]
     for d, v in enumerate(variables):
-        start = f"[{local[mirror[0]]}:]" if mirror and v == mirror[1] else ""
+        start = f"[{local[mirror[0]]}{past}:]" if mirror and v == mirror[1] else ""
         lines.append("    " * (d + 1) + f"for {local[v]} in E{start}:")
         indent = "    " * (d + 2)
         if v in hoisted:
@@ -327,6 +337,12 @@ def _mirror(lhs, rhs) -> "tuple[str, str] | None":
     involution, and it exchanges each variable it moves with its image.
     The identity swaps lhs = lhs and moves none.
     """
+    return min(((a, b) for a, b in _side_swap(lhs, rhs).items() if a < b), default=None)
+
+
+def _side_swap(lhs, rhs) -> dict:
+    """Each variable that a renaming swapping lhs and rhs moves, mapped
+    to its image; empty when no such renaming moves a variable."""
     rename = {}
 
     def match(term, image):
@@ -335,8 +351,8 @@ def _mirror(lhs, rhs) -> "tuple[str, str] | None":
         return isinstance(image, tuple) and match(term[0], image[0]) and match(term[1], image[1])
 
     if match(lhs, rhs) and match(rhs, lhs):
-        return min(((a, b) for a, b in rename.items() if a < b), default=None)
-    return None
+        return {a: b for a, b in rename.items() if a != b}
+    return {}
 
 
 def _contains(term, sub) -> bool:
@@ -473,8 +489,13 @@ def is_ag(g: Groupoid) -> bool:
 
 
 def is_ag_star_star(g: Groupoid) -> bool:
-    """Left invertive plus x(yz) = y(xz) for all x, y, z."""
-    return is_left_invertive(g) and check_identity(g, *SWAP_LAW)
+    """Left invertive plus x(yz) = y(xz) for all x, y, z; computed once
+    per carrier and kept on it as _ag_star_star (see _inverse_map)."""
+    verdict = getattr(g, "_ag_star_star", None)
+    if verdict is None:
+        verdict = is_left_invertive(g) and check_identity(g, *SWAP_LAW)
+        object.__setattr__(g, "_ag_star_star", verdict)
+    return verdict
 
 
 def is_medial(g: Groupoid) -> bool:
@@ -560,14 +581,16 @@ def _inverse_map(g: Groupoid) -> "tuple[int, ...] | str":
 def _find_inverse_map(g: Groupoid) -> "tuple[int, ...] | str":
     """The inverse map a -> a^-1, or the message saying why there is none.
 
-    Checks, in order: both defining identities, existence of inverses,
-    uniqueness, and that each element commutes with its inverse. The
-    uniqueness check is redundant once the identities hold, but it is
-    cheap and turns a theorem into a guard.
+    Checks, in order: both defining identities (the kept verdict of
+    is_ag_star_star; on failure the left invertive scan alone runs again
+    to name the law that fails), existence of inverses, uniqueness, and
+    that each element commutes with its inverse. The uniqueness check is
+    redundant once the identities hold, but it is cheap and turns a
+    theorem into a guard.
     """
-    if not is_left_invertive(g):
-        return "the left invertive law (xy)z = (zy)x fails"
-    if not check_identity(g, *SWAP_LAW):
+    if not is_ag_star_star(g):
+        if not is_left_invertive(g):
+            return "the left invertive law (xy)z = (zy)x fails"
         return "the identity x(yz) = y(xz) fails"
     inverse = []
     for a in g.elements:

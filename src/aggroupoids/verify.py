@@ -237,12 +237,11 @@ def _sandwich(outer, inner):
 
 
 def _saturates(rel, members):
+    """No element outside members shares a block with a member."""
     member_set = set(members)
-    return all(
-        (b in member_set) == (a in member_set)
-        for a in member_set
-        for b in range(rel.order)
-        if rel.related(a, b)
+    inside = {rel.block_of[a] for a in member_set}
+    return not any(
+        block in inside for x, block in enumerate(rel.block_of) if x not in member_set
     )
 
 

@@ -1,5 +1,7 @@
 """Equivalence relations, congruences, kernel-trace machinery."""
 
+import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -27,6 +29,7 @@ from aggroupoids import (
     trace,
 )
 from aggroupoids.congruences import _bare_quotient
+from aggroupoids.enumeration import EnumerationSpec, enumerate_groupoids
 from aggroupoids.errors import (
     AlgebraError,
     InvalidCongruencePair,
@@ -35,6 +38,7 @@ from aggroupoids.errors import (
     NotARefinement,
     ParseError,
 )
+from aggroupoids.lattice import LatticeReport
 from aggroupoids.magma import Groupoid
 from aggroupoids.samples import chain_semilattice, inverse_monoid4
 
@@ -344,6 +348,75 @@ def test_quotient_is_kept_once_per_congruence_outside_identity(f1, trusted):
     again = pickle.loads(pickle.dumps(c))
     assert getattr(again, "_quotient", None) is None
     assert again == c and quotient(again) == first
+
+
+@pytest.mark.parametrize("trusted", [False, True])
+def test_kernel_and_trace_are_kept_once_per_congruence_outside_identity(f1, trusted):
+    rel = EquivRelation.from_blocks(4, [(0, 2), (1,), (3,)])
+    build = Congruence._trusted if trusted else Congruence
+    c = build(f1, rel)
+    before = (hash(c), repr(c), pickle.dumps(c))
+    first_kernel, first_trace = kernel(c), trace(c)
+    assert kernel(c) is first_kernel and trace(c) is first_trace
+    assert c == Congruence(f1, rel)
+    assert (hash(c), repr(c), pickle.dumps(c)) == before
+    again = pickle.loads(pickle.dumps(c))
+    assert getattr(again, "_kernel", None) is None
+    assert getattr(again, "_trace", None) is None
+    assert again == c and (kernel(again), trace(again)) == (first_kernel, first_trace)
+
+
+def test_kernel_and_trace_failures_raise_on_every_call():
+    g = Groupoid.from_function(("0", "1", "2"), lambda a, b: (a + 1) % 3)
+    c = Congruence(g, EquivRelation.universal(3))
+    for _ in range(2):
+        with pytest.raises(KernelMismatch):
+            kernel(c)
+        with pytest.raises(AlgebraError, match="no idempotents"):
+            trace(c)
+
+
+def test_every_cache_is_seeded_by_every_constructor(f1, f1_report):
+    # an attribute first set after construction would enlarge the inline
+    # values of every later object of the class
+    def private(obj):
+        return {name: value for name, value in vars(obj).items() if name.startswith("_")}
+
+    carriers = Groupoid(f1.names, f1.table), Groupoid._trusted(f1.names, f1.table)
+    for g in carriers:
+        assert private(g) == dict.fromkeys(("_inverse", "_idempotents", "_ag_star_star"))
+    rel = EquivRelation.from_blocks(4, [(0, 2), (1,), (3,)])
+    for c in Congruence(f1, rel), Congruence._trusted(f1, rel):
+        assert private(c) == dict.fromkeys(("_quotient", "_kernel", "_trace"))
+    report = LatticeReport(*(getattr(f1_report, f.name) for f in dataclasses.fields(LatticeReport)))
+    assert private(report) == {"_index": None}
+
+
+def _cubic_syntactic_labels(g, members):
+    # the probe signatures in full: a, x*a, a*y and x*(a*y) for all x, y
+    def signature(a):
+        return (
+            a in members,
+            tuple(g.table[x][a] in members for x in g.elements),
+            tuple(g.table[a][y] in members for y in g.elements),
+            tuple(g.table[x][g.table[a][y]] in members for x in g.elements for y in g.elements),
+        )
+
+    return EquivRelation.from_keys(signature(a) for a in g.elements).block_of
+
+
+def test_syntactic_congruence_matches_the_cubic_signatures(f1, f2, collapse):
+    carriers = [f1, f2, collapse]
+    for n in range(1, 5):
+        carriers += enumerate_groupoids(EnumerationSpec(n, "ag-star-star"))
+    checked = 0
+    for g in carriers:
+        for size in range(1, g.order + 1):
+            for subset in itertools.combinations(g.elements, size):
+                expected = _cubic_syntactic_labels(g, frozenset(subset))
+                assert syntactic_congruence(g, subset).rel.block_of == expected, (g, subset)
+                checked += 1
+    assert checked > 1500
 
 
 def test_induced_congruence(f1, f1_report):

@@ -1,6 +1,7 @@
 """Exhaustive congruence lattices, markers, sublattice analysis."""
 
 import dataclasses
+import pickle
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,26 @@ def test_index_of(f1_report):
         assert f1_report.index_of(c.rel) == i
     with pytest.raises(KeyError):
         f1_report.index_of(f1_report.congruences[0].rel.restrict((0, 1)))
+
+
+def test_index_of_keeps_its_dict_outside_identity_and_names_a_miss(f1_report):
+    report = LatticeReport(
+        *(getattr(f1_report, f.name) for f in dataclasses.fields(LatticeReport))
+    )
+    before = (hash(report), repr(report), pickle.dumps(report))
+    assert report.index_of(report.congruences[2].rel) == 2
+    assert report._index is not None and report == f1_report
+    assert (hash(report), repr(report), pickle.dumps(report)) == before
+    # the same order, but a partition that is no congruence of f1
+    missing = EquivRelation.from_blocks(4, [(0, 1), (2,), (3,)])
+    assert all(c.rel != missing for c in report.congruences)
+    for rel in missing, report.congruences[0].rel.restrict((0, 1)):
+        with pytest.raises(KeyError) as err:
+            report.index_of(rel)
+        assert err.value.args == ("relation is not a congruence of this lattice",)
+    again = pickle.loads(pickle.dumps(report))
+    assert getattr(again, "_index", None) is None
+    assert again == report and again.index_of(report.congruences[2].rel) == 2
 
 
 def test_whole_lattice_is_a_pentagon(f1_report):

@@ -266,6 +266,39 @@ def test_idempotents_are_kept_once_per_carrier_outside_identity(fixture, request
     assert again == g and idempotents(again) == first
 
 
+@pytest.mark.parametrize("fixture", ["f1", "f2", "collapse"])
+def test_the_ag_star_star_verdict_is_kept_once_per_carrier_outside_identity(fixture, request):
+    fresh = request.getfixturevalue(fixture)
+    g = Groupoid(fresh.names, fresh.table)
+    before = (hash(g), repr(g), pickle.dumps(g))
+    assert is_ag_star_star(g) is True
+    assert g._ag_star_star is True and is_ag_star_star(g) is True
+    assert g == Groupoid(fresh.names, fresh.table)
+    assert (hash(g), repr(g), pickle.dumps(g)) == before
+    again = pickle.loads(pickle.dumps(g))
+    assert getattr(again, "_ag_star_star", None) is None
+    assert again == g and is_ag_star_star(again) is True
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # the left zero band, then a left invertive table without x(yz) = y(xz)
+        ([["0", "0", "0"], ["1", "1", "1"], ["2", "2", "2"]], "the left invertive law (xy)z = (zy)x fails"),
+        ([["0", "0", "0"], ["0", "0", "0"], ["1", "0", "0"]], "the identity x(yz) = y(xz) fails"),
+    ],
+)
+@pytest.mark.parametrize("verdict_first", [False, True])
+def test_the_inverse_map_names_the_law_that_fails(rows, message, verdict_first):
+    # the kept verdict says that a law fails, not which one
+    g = Groupoid.from_rows(["0", "1", "2"], rows)
+    if verdict_first:
+        assert not is_ag_star_star(g)
+    with pytest.raises(NotCompletelyInverse, match=re.escape(message)):
+        require_completely_inverse(g)
+    assert g._ag_star_star is False
+
+
 @given(tables(), st.booleans())
 def test_is_completely_inverse_agrees_with_classify(data, required_first):
     n, rows = data
@@ -457,15 +490,20 @@ def test_mirrored_laws_get_a_block_per_product_of_the_lhs_only(law, blocks):
 
 def test_identity_scans_read_each_mirrored_instance_once():
     # variables loop in sorted order; the second of the mirrored pair
-    # starts at the first's value, since the renaming exchanging them
-    # maps every other instance onto the same equation
+    # starts past the first's value, since the renaming exchanging them
+    # maps every other instance onto the same equation, and an instance
+    # with equal values onto itself when it moves no other variable
     def loops(law):
         source = magma._identity_source(*law)
         return [line.strip() for line in source.splitlines() if "for " in line]
 
-    assert loops(magma.LEFT_INVERTIVE) == ["for v0 in E:", "for v1 in E:", "for v2 in E[v0:]:"]
-    assert loops(magma.MEDIAL)[2] == "for v2 in E[v1:]:"
-    assert loops(magma.PARAMEDIAL)[3] == "for v3 in E[v0:]:"
+    assert loops(magma.LEFT_INVERTIVE) == ["for v0 in E:", "for v1 in E:", "for v2 in E[v0+1:]:"]
+    assert loops(magma.SWAP_LAW)[1] == "for v1 in E[v0+1:]:"
+    assert loops(magma.COMMUTATIVE) == ["for v0 in E:", "for v1 in E[v0+1:]:"]
+    assert loops(magma.MEDIAL)[2] == "for v2 in E[v1+1:]:"
+    assert loops(magma.PARAMEDIAL)[3] == "for v3 in E[v0+1:]:"
+    # its renaming also exchanges b and c, so a = d does not fix the instance
+    assert loops(DOUBLE_MIRROR)[3] == "for v3 in E[v0:]:"
     assert not any(":]" in loop for loop in loops(magma.ASSOCIATIVE))
 
 
