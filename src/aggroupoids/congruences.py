@@ -10,7 +10,7 @@ idempotents, and both directions of that correspondence live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .magma import (
     Groupoid,
+    _Keeps,
     idempotents,
     is_ag_star_star,
     is_completely_inverse,
@@ -220,7 +221,7 @@ def format_partition(rel: EquivRelation, names: Sequence[str]) -> str:
 
 
 @dataclass(frozen=True)
-class Congruence:
+class Congruence(_Keeps):
     """An equivalence relation compatible with a groupoid's product.
 
     The public constructor Congruence(g, rel) validates: it raises
@@ -230,17 +231,16 @@ class Congruence:
     lattice scan, generated congruences, meets and joins) or by a
     theorem the verify battery tests on its own.
 
-    quotient(c), kernel(c) and trace(c) keep their results on c as the
-    private attributes _quotient, _kernel and _trace, outside its fields,
-    equality, hash, repr and pickle, like the carrier caches of
-    magma._inverse_map.
+    It keeps (see magma._Keeps) its quotient, kernel and trace.
     """
+
+    _KEPT = ("_quotient", "_kernel", "_trace")
 
     groupoid: Groupoid
     rel: EquivRelation
 
     def __post_init__(self):
-        self._set_derived()
+        self._seed()
         g, rel = self.groupoid, self.rel
         if rel.order != g.order:
             raise AlgebraError("relation does not match the carrier size")
@@ -259,19 +259,8 @@ class Congruence:
         c = object.__new__(cls)
         object.__setattr__(c, "groupoid", g)
         object.__setattr__(c, "rel", rel)
-        c._set_derived()
+        c._seed()
         return c
-
-    def _set_derived(self):
-        # the caches of quotient, kernel and trace, set on every
-        # congruence (see magma._inverse_map)
-        object.__setattr__(self, "_quotient", None)
-        object.__setattr__(self, "_kernel", None)
-        object.__setattr__(self, "_trace", None)
-
-    def __getstate__(self):
-        # the fields only: what the caches keep stays out
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def related(self, a: int, b: int) -> bool:
         return self.rel.related(a, b)
@@ -335,18 +324,14 @@ def congruence_generated_by(g: Groupoid, pairs: Iterable[tuple[int, int]]) -> Co
 
 
 def kernel(c: Congruence) -> frozenset[int]:
-    """Union of classes containing idempotents, computed once per
-    congruence and kept on it as _kernel.
+    """Union of classes containing idempotents; kept on c.
 
     On a carrier that is not completely inverse this must agree with the
-    square characterization {a : a related to a*a}, else KernelMismatch,
-    raised on every call. On a completely inverse one the two agree by a
-    theorem that thm-idempotent-classes-contain-idempotents checks, so
-    only the class reading is computed."""
-    if (found := getattr(c, "_kernel", None)) is None:
-        found = _kernel_of(c)
-        object.__setattr__(c, "_kernel", found)
-    return found
+    square characterization {a : a related to a*a}, else KernelMismatch.
+    On a completely inverse one the two agree by a theorem that
+    thm-idempotent-classes-contain-idempotents checks, so only the class
+    reading is computed."""
+    return c._kept("_kernel", _kernel_of)
 
 
 def _kernel_of(c: Congruence) -> frozenset[int]:
@@ -369,14 +354,15 @@ def _kernel_of(c: Congruence) -> frozenset[int]:
 
 def trace(c: Congruence) -> EquivRelation:
     """Restriction to the idempotents, indexed along their sorted order;
-    computed once per congruence and kept on it as _trace."""
-    if (found := getattr(c, "_trace", None)) is None:
-        ids = idempotents(c.groupoid)
-        if not ids:
-            raise AlgebraError("no idempotents to restrict to")
-        found = c.rel.restrict(ids)
-        object.__setattr__(c, "_trace", found)
-    return found
+    kept on c."""
+    return c._kept("_trace", _trace_of)
+
+
+def _trace_of(c: Congruence) -> EquivRelation:
+    ids = idempotents(c.groupoid)
+    if not ids:
+        raise AlgebraError("no idempotents to restrict to")
+    return c.rel.restrict(ids)
 
 
 @dataclass(frozen=True)
@@ -512,15 +498,15 @@ def quotient(c: Congruence) -> Quotient:
     is validated, so this raises AlgebraError when two labels collide:
     on a carrier named "a", "b" and "a,b", the block of a and b is
     labelled like the element "a,b". _bare_quotient has no such names.
-    The result is built once per congruence object and kept on it."""
-    q = getattr(c, "_quotient", None)
-    if q is None:
-        g = c.groupoid
-        _, projection, table = _quotient_table(g.table, c.rel.block_of)
-        names = tuple(_block_label(g, block) for block in c.rel.blocks())
-        q = Quotient(Groupoid(names, table), projection)
-        object.__setattr__(c, "_quotient", q)
-    return q
+    The result is kept on c."""
+    return c._kept("_quotient", _labelled_quotient)
+
+
+def _labelled_quotient(c: Congruence) -> Quotient:
+    g = c.groupoid
+    _, projection, table = _quotient_table(g.table, c.rel.block_of)
+    names = tuple(_block_label(g, block) for block in c.rel.blocks())
+    return Quotient(Groupoid(names, table), projection)
 
 
 def _require_same_groupoid(c1: Congruence, c2: Congruence) -> None:

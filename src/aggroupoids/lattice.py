@@ -41,6 +41,7 @@ from typing import Iterator, Sequence
 from .errors import AlgebraError, NotASublattice, OrderTooLarge
 from .magma import (
     Groupoid,
+    _Keeps,
     _is_e_unitary,
     idempotents,
     is_ag_group,
@@ -99,23 +100,18 @@ class CongruenceMarkers:
 
 
 @dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(_Keeps):
     """The congruences of a carrier in scan order, their markers, and the
-    order as index masks. index_of keeps its dict from label tuple to
-    index as the private attribute _index, built on first use and kept
-    outside the fields, equality, hash, repr and pickle."""
+    order as index masks. It keeps (see magma._Keeps) the dict from label
+    tuple to index that index_of reads."""
+
+    _KEPT = ("_index",)
 
     groupoid: Groupoid
     congruences: tuple[Congruence, ...]
     markers: tuple[CongruenceMarkers, ...]
     up: tuple[int, ...]  # bit j of up[i] is set when congruence i <= congruence j
     down: tuple[int, ...]  # bit i of down[j] is set under the same condition
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", None)
-
-    def __getstate__(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -127,11 +123,7 @@ class LatticeReport:
         return ((above := self.up[i] & self.up[j]) & -above).bit_length() - 1
 
     def index_of(self, rel: EquivRelation) -> int:
-        index = getattr(self, "_index", None)
-        if index is None:
-            index = {c.rel.block_of: i for i, c in enumerate(self.congruences)}
-            object.__setattr__(self, "_index", index)
-        i = index.get(rel.block_of)
+        i = self._kept("_index", _index_by_labels).get(rel.block_of)
         if i is None:
             raise KeyError("relation is not a congruence of this lattice")
         return i
@@ -143,6 +135,10 @@ class LatticeReport:
     @property
     def top(self) -> int:
         return len(self.congruences) - 1
+
+
+def _index_by_labels(report: LatticeReport) -> dict:
+    return {c.rel.block_of: i for i, c in enumerate(report.congruences)}
 
 
 def _partition_labels(n: int, table=None) -> list[tuple[int, ...]]:

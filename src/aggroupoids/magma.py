@@ -23,11 +23,8 @@ is the same equation as its renamed twin: the scan starts the loop of
 one exchanged variable at, or just past, the other's value, and the
 check and the forcer let the new cell play only the products of the lhs.
 
-The inverse map of a completely inverse table, or the message saying why
-there is none, is computed once per Groupoid object, on first use, and
-kept on it; require_completely_inverse and is_completely_inverse read it.
-The tuple of idempotents is kept the same way, by idempotents, and so is
-the verdict of is_ag_star_star, which the inverse map reads too.
+A carrier keeps its inverse map, its idempotents and its AG** verdict
+once computed (see _Keeps).
 """
 
 from __future__ import annotations
@@ -80,14 +77,51 @@ def _element_range(n: int) -> range:
     return range(n)
 
 
+class _Keeps:
+    """A frozen object that keeps facts about itself: each name in _KEPT
+    is a private attribute that _kept fills on first use.
+
+    Kept facts are not fields, so equality, hash, repr and pickles ignore
+    them, and an unpickled object has none until first use. Only None
+    means "not computed yet"; a compute that raises keeps nothing, so it
+    raises on every call. object.__setattr__ stores a fact beside the
+    fields: a cached_property would give the object a separate __dict__,
+    which costs memory and slows every attribute read, and so would an
+    attribute first set after CPython has sized the object's inline
+    values from the earlier objects of its class. So every constructor
+    calls _seed, which sets each kept name to None.
+    """
+
+    _KEPT = ()
+
+    def _seed(self):
+        for name in self._KEPT:
+            object.__setattr__(self, name, None)
+
+    # a dataclass without a __post_init__ of its own seeds after __init__
+    __post_init__ = _seed
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def _kept(self, name, compute):
+        """The fact kept as name; on first use, compute(self), kept."""
+        value = getattr(self, name, None)
+        if value is None:
+            value = compute(self)
+            object.__setattr__(self, name, value)
+        return value
+
+
 @dataclass(frozen=True)
-class Groupoid:
+class Groupoid(_Keeps):
     """A finite magma: a tuple of element names and an index Cayley table.
 
-    Each carrier keeps, once computed, its inverse map (_inverse, see
-    _inverse_map), its idempotents (_idempotents) and whether both
-    defining laws hold (_ag_star_star, see is_ag_star_star), as private
-    attributes outside its fields, equality, hash, repr and pickle."""
+    It keeps (see _Keeps) its inverse map or the message saying why it
+    has none (see _find_inverse_map), its idempotents and the verdict of
+    is_ag_star_star."""
+
+    _KEPT = ("_inverse", "_idempotents", "_ag_star_star")
 
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
@@ -114,12 +148,7 @@ class Groupoid:
 
     def _set_derived(self):
         object.__setattr__(self, "elements", _element_range(len(self.names)))
-        # the caches of _inverse_map, idempotents and is_ag_star_star,
-        # empty until first use; set on every carrier so that all three
-        # stay in its inline attribute values (see _inverse_map)
-        object.__setattr__(self, "_inverse", None)
-        object.__setattr__(self, "_idempotents", None)
-        object.__setattr__(self, "_ag_star_star", None)
+        self._seed()
 
     @classmethod
     def _trusted(cls, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]) -> "Groupoid":
@@ -131,10 +160,6 @@ class Groupoid:
         object.__setattr__(g, "table", table)
         g._set_derived()
         return g
-
-    def __getstate__(self):
-        # the fields only: what the caches keep stays out
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def order(self) -> int:
@@ -489,13 +514,14 @@ def is_ag(g: Groupoid) -> bool:
 
 
 def is_ag_star_star(g: Groupoid) -> bool:
-    """Left invertive plus x(yz) = y(xz) for all x, y, z; computed once
-    per carrier and kept on it as _ag_star_star (see _inverse_map)."""
-    verdict = getattr(g, "_ag_star_star", None)
-    if verdict is None:
-        verdict = is_left_invertive(g) and check_identity(g, *SWAP_LAW)
-        object.__setattr__(g, "_ag_star_star", verdict)
-    return verdict
+    """Left invertive plus x(yz) = y(xz) for all x, y, z; kept on g."""
+    return g._kept("_ag_star_star", _both_laws)
+
+
+def _both_laws(g: Groupoid) -> bool:
+    # the swap law first: where it fails, classify's own left invertive
+    # scan is the only one
+    return check_identity(g, *SWAP_LAW) and is_left_invertive(g)
 
 
 def is_medial(g: Groupoid) -> bool:
@@ -526,14 +552,12 @@ def is_semilattice(g: Groupoid) -> bool:
 
 
 def idempotents(g: Groupoid) -> tuple[int, ...]:
-    """The idempotents of g in increasing order, computed on first use
-    and kept on g as the private attribute _idempotents, outside its
-    fields like _inverse (see _inverse_map)."""
-    found = getattr(g, "_idempotents", None)
-    if found is None:
-        found = tuple(x for x in g.elements if g.table[x][x] == x)
-        object.__setattr__(g, "_idempotents", found)
-    return found
+    """The idempotents of g in increasing order; kept on g."""
+    return g._kept("_idempotents", _idempotents_of)
+
+
+def _idempotents_of(g: Groupoid) -> tuple[int, ...]:
+    return tuple(x for x in g.elements if g.table[x][x] == x)
 
 
 def left_identities(g: Groupoid) -> tuple[int, ...]:
@@ -557,33 +581,12 @@ def is_regular(g: Groupoid) -> bool:
     return all(inverses_of(g, a) for a in g.elements)
 
 
-def _inverse_map(g: Groupoid) -> "tuple[int, ...] | str":
-    """The inverse map of g, or the message saying why there is none,
-    computed on first use and kept on g.
-
-    It is kept as the private attribute _inverse, which is not a field,
-    so equality, hash, repr and pickles ignore it; an unpickled carrier
-    has no _inverse until first use. object.__setattr__ stores it with
-    the fields; a cached_property would give g a separate __dict__,
-    which costs memory and slows every later attribute read. So does an
-    attribute first set after CPython has sized a carrier's inline
-    values: each carrier gets room for the attributes earlier carriers
-    had, plus one, which is why __post_init__ sets _inverse and
-    _idempotents to None.
-    """
-    inverse = getattr(g, "_inverse", None)
-    if inverse is None:
-        inverse = _find_inverse_map(g)
-        object.__setattr__(g, "_inverse", inverse)
-    return inverse
-
-
 def _find_inverse_map(g: Groupoid) -> "tuple[int, ...] | str":
     """The inverse map a -> a^-1, or the message saying why there is none.
 
     Checks, in order: both defining identities (the kept verdict of
-    is_ag_star_star; on failure the left invertive scan alone runs again
-    to name the law that fails), existence of inverses, uniqueness, and
+    is_ag_star_star; on failure the left invertive scan alone names the
+    law that fails), existence of inverses, uniqueness, and
     that each element commutes with its inverse. The uniqueness check is
     redundant once the identities hold, but it is cheap and turns a
     theorem into a guard.
@@ -610,11 +613,10 @@ def require_completely_inverse(g: Groupoid) -> tuple[int, ...]:
     """Return the inverse map a -> a^-1, or raise NotCompletelyInverse
     saying why there is none (see _find_inverse_map for the checks).
 
-    The map, or the failure message, is computed once per carrier
-    object and kept on it, so repeated calls are lookups; each failing
-    call raises a fresh exception with the same message.
+    The map, or the failure message, is kept on the carrier, so each
+    failing call raises a fresh exception with the same message.
     """
-    inverse = _inverse_map(g)
+    inverse = g._kept("_inverse", _find_inverse_map)
     if isinstance(inverse, str):
         raise NotCompletelyInverse(inverse)
     return inverse
@@ -624,7 +626,7 @@ def is_completely_inverse(g: Groupoid) -> bool:
     """Both defining identities hold and every element has exactly one
     inverse, which commutes with it; require_completely_inverse is the
     definition, and both read the same per-carrier result."""
-    return not isinstance(_inverse_map(g), str)
+    return not isinstance(g._kept("_inverse", _find_inverse_map), str)
 
 
 def _ag_group_by_solutions(g: Groupoid) -> bool:
@@ -676,8 +678,8 @@ class ClassificationReport:
 
 def classify(g: Groupoid) -> ClassificationReport:
     """Compute every class membership flag for a finite magma."""
-    ag = is_left_invertive(g)
-    ag_ss = ag and check_identity(g, *SWAP_LAW)
+    ag_ss = is_ag_star_star(g)
+    ag = ag_ss or is_left_invertive(g)
     idem = is_idempotent_table(g)
     commutative = is_commutative(g)
 

@@ -14,6 +14,11 @@ to its universe, so no check iterates its own instances.
 Checks resolve the canonical operators through their modules at call
 time; swapping one out (to validate the suite itself) makes the
 matching check fail rather than crash.
+
+Four helpers hold the check shapes that recur: `_is_least` and
+`_is_greatest` (a closed form is the extreme marked congruence),
+`_between` (the interval of a lattice), `_relates_exactly` (a relation
+relates a and b exactly when a rule holds) and `_central_idempotents`.
 """
 
 from __future__ import annotations
@@ -224,6 +229,35 @@ def _greatest_of(report, indices):
     return None
 
 
+def _is_least(report, marker, rel):
+    """rel is the least of the congruences marked `marker`."""
+    least = _least_of(report, _marked(report, marker))
+    return least is not None and report.congruences[least].rel == rel
+
+
+def _is_greatest(report, marker, rel):
+    """rel is the greatest of the congruences marked `marker`."""
+    greatest = _greatest_of(report, _marked(report, marker))
+    return greatest is not None and report.congruences[greatest].rel == rel
+
+
+def _between(report, low, high):
+    """The indices of the congruences from index low up to index high."""
+    return tuple(
+        j for j in range(len(report.congruences)) if report.leq(low, j) and report.leq(j, high)
+    )
+
+
+def _relates_exactly(g, rel, rule):
+    """rel relates a and b exactly when rule(a, b), for all a, b of g."""
+    return all(rel.related(a, b) == rule(a, b) for a in g.elements for b in g.elements)
+
+
+def _central_idempotents(g):
+    """Every idempotent of g commutes with every element."""
+    return all(g.mul(e, a) == g.mul(a, e) for e in idempotents(g) for a in g.elements)
+
+
 def _quotient_of(report, i):
     return _congruences.quotient(report.congruences[i]).groupoid
 
@@ -394,11 +428,9 @@ def _(ctx, g, report, i):
 def _(ctx, g):
     mu = _canonical.max_idempotent_separating(g)
     report = ctx.lattice(g)
-    separating = _marked(report, "idempotent_separating")
-    greatest = _greatest_of(report, separating)
-    if greatest is None or report.congruences[greatest].rel != mu.rel:
+    if not _is_greatest(report, "idempotent_separating", mu.rel):
         return _bad(g, "computed relation is not the greatest separating one")
-    if report.index_of(mu.rel) not in separating:
+    if not report.markers[report.index_of(mu.rel)].idempotent_separating:
         return _bad(g, "computed relation does not separate idempotents")
     return None
 
@@ -411,9 +443,8 @@ def _(ctx, g):
 def _(ctx, g):
     mu = _canonical.max_idempotent_separating(g)
     report = ctx.lattice(g)
-    semilattice = _marked(report, "semilattice")
-    least = _least_of(report, semilattice)
-    if least is None or report.congruences[least].rel != mu.rel:
+    if not _is_least(report, "semilattice", mu.rel):
+        least = _least_of(report, _marked(report, "semilattice"))
         found = report.congruences[least].partition_text() if least is not None else "none"
         return _bad(
             g,
@@ -524,12 +555,7 @@ def _(ctx, g):
     "completely-inverse",
 )
 def _(ctx, g):
-    central = all(
-        g.mul(e, a) == g.mul(a, e)
-        for e in idempotents(g)
-        for a in g.elements
-    )
-    if not central:
+    if not _central_idempotents(g):
         return None
     if not (_magma.is_commutative(g) and _magma.is_associative(g)):
         return _bad(g, "central idempotents but not a commutative semigroup")
@@ -543,15 +569,10 @@ def _(ctx, g):
 )
 def _(ctx, g):
     inv = _magma.require_completely_inverse(g)
-    central = all(
-        g.mul(e, a) == g.mul(a, e)
-        for e in idempotents(g)
-        for a in g.elements
-    )
     pointwise = all(
         g.mul(a, g.mul(inv[a], a)) == a for a in g.elements
     )
-    if central != pointwise:
+    if _central_idempotents(g) != pointwise:
         return _bad(g, "centrality criterion fails")
     return None
 
@@ -572,11 +593,7 @@ def _(ctx, g):
         return _bad(g, "squares lost or gained idempotents")
     if not _magma.is_completely_inverse(part):
         return _bad(g, "squares are not completely inverse")
-    if not all(
-        part.mul(e, a) == part.mul(a, e)
-        for e in idempotents(part)
-        for a in part.elements
-    ):
+    if not _central_idempotents(part):
         return _bad(g, "idempotents are not central among the squares")
     return None
 
@@ -738,13 +755,13 @@ def _(ctx, g):
         built = _congruences.from_kernel_trace(
             g, _congruences.CongruencePair(kernel_part, tau)
         )
-        for a in g.elements:
-            for b in g.elements:
-                rule = g.mul(a, inv[b]) in kernel_part and tau.related(
-                    index_of[g.mul(a, inv[a])], index_of[g.mul(b, inv[b])]
-                )
-                if built.related(a, b) != rule:
-                    return _bad(g, "the kernel-trace rule is not an equivalence")
+        if not _relates_exactly(
+            g,
+            built,
+            lambda a, b: g.mul(a, inv[b]) in kernel_part
+            and tau.related(index_of[g.mul(a, inv[a])], index_of[g.mul(b, inv[b])]),
+        ):
+            return _bad(g, "the kernel-trace rule is not an equivalence")
         if _congruences.kernel(built) != kernel_part:
             return _bad(g, "reconstruction moved the kernel")
         if _congruences.trace(built) != tau:
@@ -792,19 +809,14 @@ def _(ctx, g):
 )
 def _(ctx, g):
     sigma = _canonical.least_ag_group_congruence(g)
-    report = ctx.lattice(g)
-    groups = _marked(report, "ag_group")
-    least = _least_of(report, groups)
-    if least is None or report.congruences[least].rel != sigma.rel:
+    if not _is_least(ctx.lattice(g), "ag_group", sigma.rel):
         return _bad(g, "scan finds a different least group congruence")
     closure = _structure.upward_closure(g, idempotents(g))
     if _congruences.kernel(sigma) != closure:
         return _bad(g, "kernel is not the closure of the idempotents")
     inv = _magma.require_completely_inverse(g)
-    for a in g.elements:
-        for b in g.elements:
-            if sigma.related(a, b) != (g.mul(a, inv[b]) in closure):
-                return _bad(g, "quotient-by-inverse criterion fails")
+    if not _relates_exactly(g, sigma, lambda a, b: g.mul(a, inv[b]) in closure):
+        return _bad(g, "quotient-by-inverse criterion fails")
     return None
 
 
@@ -935,10 +947,7 @@ def _(ctx, g, report, i, j):
 )
 def _(ctx, g):
     pi = _canonical.least_e_unitary(g)
-    report = ctx.lattice(g)
-    unitary = _marked(report, "e_unitary")
-    least = _least_of(report, unitary)
-    if least is None or report.congruences[least].rel != pi.rel:
+    if not _is_least(ctx.lattice(g), "e_unitary", pi.rel):
         return _bad(g, "scan finds a different least unitary congruence")
     return None
 
@@ -1120,12 +1129,7 @@ def _(ctx, g, report, i):
     members = _lattice.trace_class(report, i)
     low = report.index_of(_canonical.trace_min(c).rel)
     high = report.index_of(_canonical.trace_max(c).rel)
-    interval = tuple(
-        j
-        for j in range(len(report.congruences))
-        if report.leq(low, j) and report.leq(j, high)
-    )
-    if members != interval:
+    if members != _between(report, low, high):
         return _bad(g, "trace class is not the interval between its extreme forms")
     if not _lattice.is_modular_sublattice(report, members)[0]:
         return _bad(g, "trace class is not modular")
@@ -1134,14 +1138,15 @@ def _(ctx, g, report, i):
     bottom = report.congruences[low]
     inv = _magma.require_completely_inverse(g)
     ids = idempotents(g)
-    for a in g.elements:
-        for b in g.elements:
-            ea, eb = g.mul(a, inv[a]), g.mul(b, inv[b])
-            rule = c.related(ea, eb) and any(
-                c.related(e, ea) and g.mul(e, a) == g.mul(e, b) for e in ids
-            )
-            if bottom.related(a, b) != rule:
-                return _bad(g, "the trace-least rule is not an equivalence")
+
+    def rule(a, b):
+        ea, eb = g.mul(a, inv[a]), g.mul(b, inv[b])
+        return c.related(ea, eb) and any(
+            c.related(e, ea) and g.mul(e, a) == g.mul(e, b) for e in ids
+        )
+
+    if not _relates_exactly(g, bottom, rule):
+        return _bad(g, "the trace-least rule is not an equivalence")
     return _class_mirror(
         ctx, g, report, members, bottom,
         "idempotent_separating", "trace", "the separating interval",
@@ -1240,10 +1245,7 @@ def _(ctx, g, report, subset):
 )
 def _(ctx, g):
     tau = _canonical.max_idempotent_pure(g)
-    report = ctx.lattice(g)
-    pure = _marked(report, "idempotent_pure")
-    greatest = _greatest_of(report, pure)
-    if greatest is None or report.congruences[greatest].rel != tau.rel:
+    if not _is_greatest(ctx.lattice(g), "idempotent_pure", tau.rel):
         return _bad(g, "scan finds a different largest pure congruence")
     return None
 
@@ -1259,12 +1261,7 @@ def _(ctx, g, report, i):
     members = set(_lattice.kernel_class(report, i))
     low = report.index_of(_canonical.kernel_min(c).rel)
     high = report.index_of(_canonical.kernel_max(c).rel)
-    interval = {
-        j
-        for j in range(len(report.congruences))
-        if report.leq(low, j) and report.leq(j, high)
-    }
-    if members != interval:
+    if members != set(_between(report, low, high)):
         return _bad(g, "kernel class is not the expected interval")
     k = _congruences.kernel(c)
     if _congruences.kernel(report.congruences[low]) != k:
@@ -1407,13 +1404,10 @@ def _(ctx, g, report, i):
     if _sandwich(sigma.rel, c.rel) != _lattice._ordered_pairs(join):
         return _bad(g, "the join is not the two-sided sandwich")
     ids = idempotents(g)
-    for a in g.elements:
-        for b in g.elements:
-            criterion = any(
-                c.related(g.mul(e, a), g.mul(e, b)) for e in ids
-            )
-            if criterion != join.related(a, b):
-                return _bad(g, "multiplier description fails")
+    if not _relates_exactly(
+        g, join, lambda a, b: any(c.related(g.mul(e, a), g.mul(e, b)) for e in ids)
+    ):
+        return _bad(g, "multiplier description fails")
     expected = _structure.upward_closure(g, _congruences.kernel(c))
     if _congruences.kernel(closure) != expected:
         return _bad(g, "kernel of the join is not the closure")
@@ -1534,12 +1528,7 @@ def _(ctx, g):
         mu = _canonical.max_idempotent_separating(g)
         low = rho_n.rel.meet(mu.rel)
         high = report.index_of(rho_n.rel)
-        expected = tuple(
-            i
-            for i in range(len(report.congruences))
-            if report.leq(report.index_of(low), i) and report.leq(i, high)
-        )
-        if interval != expected:
+        if interval != _between(report, report.index_of(low), high):
             return _bad(g, f"family of {sorted(n)} is not the full interval")
         by_kernel = tuple(
             i
@@ -1566,11 +1555,10 @@ def _(ctx, g, report, i):
     if _sandwich(mu.rel, c.rel) != _lattice._ordered_pairs(join):
         return _bad(g, "the join is not the two-sided sandwich")
     inv = _magma.require_completely_inverse(g)
-    for a in g.elements:
-        for b in g.elements:
-            squares = c.related(g.mul(a, inv[a]), g.mul(b, inv[b]))
-            if squares != join.related(a, b):
-                return _bad(g, "square description fails")
+    if not _relates_exactly(
+        g, join, lambda a, b: c.related(g.mul(a, inv[a]), g.mul(b, inv[b]))
+    ):
+        return _bad(g, "square description fails")
     return None
 
 

@@ -39,7 +39,13 @@ from aggroupoids.magma import (
     same_operation,
     subgroupoid,
 )
-from aggroupoids.samples import chain_semilattice, cyclic_group, vee_semilattice
+from aggroupoids.samples import (
+    chain_semilattice,
+    cyclic_group,
+    inverse_monoid4,
+    subtraction_mod,
+    vee_semilattice,
+)
 
 F1_TEXT = """4
 a b e f
@@ -297,6 +303,26 @@ def test_the_inverse_map_names_the_law_that_fails(rows, message, verdict_first):
     with pytest.raises(NotCompletelyInverse, match=re.escape(message)):
         require_completely_inverse(g)
     assert g._ag_star_star is False
+
+
+@pytest.mark.parametrize(
+    "build, left_invertive_scans",
+    # an AG-group also gets the left invertive scan of is_ag_group
+    [(inverse_monoid4, 1), (lambda: subtraction_mod(3), 2)],
+)
+def test_classify_scans_each_defining_law_once(monkeypatch, build, left_invertive_scans):
+    g = build()
+    scans = {magma.LEFT_INVERTIVE: 0, magma.SWAP_LAW: 0}
+
+    def counted(g, lhs, rhs):
+        if (lhs, rhs) in scans:
+            scans[lhs, rhs] += 1
+        return check_identity(g, lhs, rhs)
+
+    monkeypatch.setattr(magma, "check_identity", counted)
+    report = classify(g)
+    assert report.is_ag_star_star and report.is_completely_inverse
+    assert scans == {magma.LEFT_INVERTIVE: left_invertive_scans, magma.SWAP_LAW: 1}
 
 
 @given(tables(), st.booleans())

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from aggroupoids import canonical, verify
+from aggroupoids import canonical, congruences, magma, verify
 from aggroupoids.congruences import Congruence, EquivRelation, is_congruence
 from aggroupoids.errors import AlgebraError, BoundExceeded
 from aggroupoids.magma import parse_mag
@@ -89,6 +89,37 @@ def test_only_the_constructing_modules_trust_a_congruence():
     }
     assert callers
     assert callers <= {"congruences.py", "lattice.py", "canonical.py"}
+
+
+def test_kept_facts_are_stored_only_by_keeps():
+    # a frozen object keeps a computed fact through magma._Keeps; the one
+    # other private attribute, StrongSemilattice._images_of, is built
+    # eagerly by its __post_init__
+    package = Path(__file__).resolve().parents[1] / "src" / "aggroupoids"
+
+    def stores(node, where):
+        for child in ast.iter_child_nodes(node):
+            inside = f"{where}.{child.name}" if isinstance(child, ast.ClassDef) else where
+            if (
+                isinstance(child, ast.Call)
+                and ast.unparse(child.func) == "object.__setattr__"
+                and len(child.args) == 3
+            ):
+                name = child.args[1]
+                public = isinstance(name, ast.Constant) and not name.value.startswith("_")
+                if not public:
+                    yield where, ast.unparse(name)
+            yield from stores(child, inside)
+
+    found = {
+        store
+        for path in package.glob("*.py")
+        for store in stores(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert {store for store in found if store[0] != "magma._Keeps"} == {
+        ("structure.StrongSemilattice", "'_images_of'")
+    }
+    assert ("magma._Keeps", "name") in found
 
 
 def test_the_battery_borrows_no_private_canonical_helper():
@@ -189,6 +220,103 @@ def test_a_wrong_least_idempotent_is_detected(monkeypatch, check_id, detail):
     """sigma, its join and trace_min group by a least idempotent; the
     battery checks each against a definition that uses no such helper."""
     monkeypatch.setattr(canonical, "_least_idempotent", lambda g, ids: max(ids))
+    (result,) = verify.run_all(bound=3, only=check_id)
+    assert not result.passed
+    assert detail in result.detail
+
+
+def _identity_congruence(g):
+    return Congruence(g, EquivRelation.identity(g.order))
+
+
+def _own_inverses(g):
+    # wrong on the cyclic group of order 3
+    return tuple(g.elements)
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant, check_id, detail",
+    [
+        (
+            canonical,
+            "least_e_unitary",
+            lambda g: canonical.max_idempotent_separating(g),
+            "thm-pi-least-e-unitary",
+            "scan finds a different least unitary congruence",
+        ),
+        (
+            canonical,
+            "max_idempotent_pure",
+            _identity_congruence,
+            "thm-tau-largest-idempotent-pure",
+            "scan finds a different largest pure congruence",
+        ),
+        (
+            canonical,
+            "kernel_max",
+            lambda c: c,
+            "thm-kernel-class-interval",
+            "kernel class is not the expected interval",
+        ),
+        (
+            canonical,
+            "max_idempotent_separating",
+            _identity_congruence,
+            "thm-unitary-family-decomposition",
+            "is not the full interval",
+        ),
+        (
+            congruences,
+            "from_kernel_trace",
+            lambda g, pair: Congruence(g, EquivRelation.universal(g.order)),
+            "thm-congruence-pair-bijection",
+            "the kernel-trace rule is not an equivalence",
+        ),
+        (
+            magma,
+            "require_completely_inverse",
+            _own_inverses,
+            "thm-sigma-least-ag-group",
+            "quotient-by-inverse criterion fails",
+        ),
+        (
+            magma,
+            "require_completely_inverse",
+            _own_inverses,
+            "thm-trace-class-isomorphism",
+            "the trace-least rule is not an equivalence",
+        ),
+        (
+            magma,
+            "require_completely_inverse",
+            _own_inverses,
+            "thm-semilattice-join-sandwich",
+            "square description fails",
+        ),
+        (
+            magma,
+            "require_completely_inverse",
+            _own_inverses,
+            "thm-central-idempotents-criterion",
+            "centrality criterion fails",
+        ),
+        (
+            # no idempotents: every carrier's idempotents are central
+            verify,
+            "idempotents",
+            lambda g: (),
+            "thm-central-idempotents-give-commutative",
+            "central idempotents but not a commutative semigroup",
+        ),
+    ],
+)
+def test_a_wrong_operator_fails_the_check_that_reads_it(
+    monkeypatch, module, name, mutant, check_id, detail
+):
+    """Each check built on an extremality, interval, exact-relation or
+    centrality helper fails with its own message when an operator it
+    reads is wrong."""
+    monkeypatch.setattr(module, name, mutant)
     (result,) = verify.run_all(bound=3, only=check_id)
     assert not result.passed
     assert detail in result.detail
