@@ -14,6 +14,10 @@ product-closed set makes e*a and e*b agree or rho-related. The product
 z of that set is then a witness too, as z*(e*a) = e*(z*a) = z*a, so
 each of the three groups a by a key built from z*a.
 
+The closed forms are kept on their carrier or congruence (see
+magma._Keeps): mu, sigma and tau on the carrier, the trace and kernel
+endpoints and the join with sigma on the congruence.
+
 The theorems behind each formula, its extremality against the full
 congruence lattice included, are checked by the verify battery, not
 here.
@@ -81,7 +85,11 @@ def _grouped_by_idempotent(g: Groupoid, label) -> EquivRelation:
 
 def max_idempotent_separating(g: Groupoid) -> Congruence:
     """Partition by the idempotent a*a^-1; also the least congruence
-    with a semilattice quotient."""
+    with a semilattice quotient. Kept on g."""
+    return g._kept("_mu", _mu_of)
+
+
+def _mu_of(g: Groupoid) -> Congruence:
     # each idempotent labels its own block
     return Congruence._trusted(g, _grouped_by_idempotent(g, g.elements))
 
@@ -92,14 +100,24 @@ def _least_idempotent(g: Groupoid, ids) -> int:
 
 
 def least_ag_group_congruence(g: Groupoid) -> Congruence:
-    """a ~ b iff some idempotent translates them to the same element."""
+    """a ~ b iff some idempotent translates them to the same element.
+    Kept on g."""
+    return g._kept("_sigma", _sigma_of)
+
+
+def _sigma_of(g: Groupoid) -> Congruence:
     require_completely_inverse(g)
     z = _least_idempotent(g, idempotents(g))
     return Congruence._trusted(g, EquivRelation.from_keys(g.table[z]))
 
 
 def max_idempotent_pure(g: Groupoid) -> Congruence:
-    """Largest congruence whose idempotent classes are purely idempotent."""
+    """Largest congruence whose idempotent classes are purely idempotent.
+    Kept on g."""
+    return g._kept("_tau", _tau_of)
+
+
+def _tau_of(g: Groupoid) -> Congruence:
     require_completely_inverse(g)
     return syntactic_congruence(g, idempotents(g))
 
@@ -119,7 +137,11 @@ def canonical_suite(g: Groupoid) -> CanonicalSuite:
 
 def trace_max(rho: Congruence) -> Congruence:
     """Largest congruence with the same trace: relate a, b whenever
-    a*a^-1 and b*b^-1 were already related."""
+    a*a^-1 and b*b^-1 were already related. Kept on rho."""
+    return rho._kept("_trace_max", _trace_max_of)
+
+
+def _trace_max_of(rho: Congruence) -> Congruence:
     g = rho.groupoid
     return Congruence._trusted(g, _grouped_by_idempotent(g, rho.rel.block_of))
 
@@ -127,7 +149,11 @@ def trace_max(rho: Congruence) -> Congruence:
 def trace_min(rho: Congruence) -> Congruence:
     """Smallest congruence with the same trace: additionally demand a
     witnessing idempotent inside the class of a*a^-1 translating a and
-    b to the same element."""
+    b to the same element. Kept on rho."""
+    return rho._kept("_trace_min", _trace_min_of)
+
+
+def _trace_min_of(rho: Congruence) -> Congruence:
     g = rho.groupoid
     inverse = require_completely_inverse(g)
     label = rho.rel.block_of
@@ -149,13 +175,22 @@ def kernel_min(rho: Congruence) -> Congruence:
 def kernel_max(rho: Congruence) -> Congruence:
     """Largest congruence with the same kernel: the largest congruence
     saturating it. Maximality with respect to the kernel forces kernel
-    preservation, which thm-kernel-class-interval checks."""
+    preservation, which thm-kernel-class-interval checks. Kept on rho."""
+    return rho._kept("_kernel_max", _kernel_max_of)
+
+
+def _kernel_max_of(rho: Congruence) -> Congruence:
     return syntactic_congruence(rho.groupoid, kernel(rho))
 
 
 def ag_group_closure(rho: Congruence) -> Congruence:
     """Join with the least AG-group congruence, by the translation
-    criterion: a ~ b iff (ea, eb) lands in rho for some idempotent e."""
+    criterion: a ~ b iff (ea, eb) lands in rho for some idempotent e.
+    Kept on rho."""
+    return rho._kept("_ag_group_closure", _ag_group_closure_of)
+
+
+def _ag_group_closure_of(rho: Congruence) -> Congruence:
     g = rho.groupoid
     require_completely_inverse(g)
     z = _least_idempotent(g, idempotents(g))

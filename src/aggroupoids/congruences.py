@@ -25,11 +25,11 @@ from .errors import (
 from .magma import (
     Groupoid,
     _Keeps,
+    idempotent_semilattice,
     idempotents,
     is_ag_star_star,
     is_completely_inverse,
     require_completely_inverse,
-    subgroupoid,
 )
 
 __all__ = [
@@ -231,10 +231,20 @@ class Congruence(_Keeps):
     lattice scan, generated congruences, meets and joins) or by a
     theorem the verify battery tests on its own.
 
-    It keeps (see magma._Keeps) its quotient, kernel and trace.
+    It keeps (see magma._Keeps) its quotient, kernel and trace, and for
+    the canonical module trace_max, trace_min, kernel_max and
+    ag_group_closure.
     """
 
-    _KEPT = ("_quotient", "_kernel", "_trace")
+    _KEPT = (
+        "_quotient",
+        "_kernel",
+        "_trace",
+        "_trace_max",
+        "_trace_min",
+        "_kernel_max",
+        "_ag_group_closure",
+    )
 
     groupoid: Groupoid
     rel: EquivRelation
@@ -410,7 +420,7 @@ def _pair_violation(g: Groupoid, pair: CongruencePair) -> str | None:
     ids = idempotents(g)
     if pair.trace.order != len(ids):
         return "trace is not a relation on the idempotents"
-    if not is_congruence(subgroupoid(g, ids), pair.trace):
+    if not is_congruence(idempotent_semilattice(g), pair.trace):
         return "trace is not a congruence on the idempotent semilattice"
     index_of = {e: i for i, e in enumerate(ids)}
     for e in ids:
@@ -486,7 +496,10 @@ def _quotient_table(table, block_of: Sequence[int]):
 def _bare_quotient(g: Groupoid, block_of: Sequence[int]) -> Groupoid:
     """The quotient by a compatible partition, each block named by its
     least member and built without validation, for the law tests; its
-    names are distinct whatever g's names are."""
+    names are distinct whatever g's names are. The quotient by the
+    identity partition is g itself, with the facts g keeps."""
+    if len(set(block_of)) == len(block_of):
+        return g
     leaders, _, table = _quotient_table(g.table, block_of)
     return Groupoid._trusted(tuple(g.names[b] for b in leaders), table)
 

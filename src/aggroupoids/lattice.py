@@ -43,12 +43,12 @@ from .magma import (
     Groupoid,
     _Keeps,
     _is_e_unitary,
+    idempotent_semilattice,
     idempotents,
     is_ag_group,
     is_completely_inverse,
     is_semilattice,
     require_completely_inverse,
-    subgroupoid,
 )
 from .congruences import (
     Congruence,
@@ -393,9 +393,12 @@ class TraceHomomorphism:
 
 
 def trace_homomorphism(g: Groupoid) -> TraceHomomorphism:
+    """Raises NotCompletelyInverse on a table that is not completely
+    inverse."""
+    require_completely_inverse(g)
     source = all_congruences(g)
     ids = idempotents(g)
-    target = all_congruences(subgroupoid(g, ids))
+    target = all_congruences(idempotent_semilattice(g))
     image = tuple(
         target.index_of(trace(c)) for c in source.congruences
     )

@@ -23,8 +23,8 @@ is the same equation as its renamed twin: the scan starts the loop of
 one exchanged variable at, or just past, the other's value, and the
 check and the forcer let the new cell play only the products of the lhs.
 
-A carrier keeps its inverse map, its idempotents and its AG** verdict
-once computed (see _Keeps).
+A carrier keeps its inverse map, its idempotents, its AG** verdict and
+its idempotent subgroupoid once computed (see _Keeps).
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ class _Keeps:
 
     _KEPT = ()
 
-    def _seed(self):
+    def _seed(self, _store=object.__setattr__):
+        # every constructor runs this, so the store is bound once
         for name in self._KEPT:
-            object.__setattr__(self, name, None)
+            _store(self, name, None)
 
     # a dataclass without a __post_init__ of its own seeds after __init__
     __post_init__ = _seed
@@ -118,10 +119,19 @@ class Groupoid(_Keeps):
     """A finite magma: a tuple of element names and an index Cayley table.
 
     It keeps (see _Keeps) its inverse map or the message saying why it
-    has none (see _find_inverse_map), its idempotents and the verdict of
-    is_ag_star_star."""
+    has none (see _find_inverse_map), its idempotents, the verdict of
+    is_ag_star_star and its idempotent subgroupoid E, and for the
+    canonical module the congruences mu, sigma and tau."""
 
-    _KEPT = ("_inverse", "_idempotents", "_ag_star_star")
+    _KEPT = (
+        "_inverse",
+        "_idempotents",
+        "_ag_star_star",
+        "_idempotent_semilattice",
+        "_mu",
+        "_sigma",
+        "_tau",
+    )
 
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
@@ -753,7 +763,12 @@ def subgroupoid(g: Groupoid, subset: Iterable[int]) -> Groupoid:
 def idempotent_semilattice(g: Groupoid) -> Groupoid:
     """The subgroupoid on the idempotents; a semilattice whenever both
     defining identities hold and there is at least one idempotent (the
-    battery check thm-idempotents-form-semilattice tests this)."""
+    battery check thm-idempotents-form-semilattice tests this); kept
+    on g."""
+    return g._kept("_idempotent_semilattice", _idempotent_subgroupoid)
+
+
+def _idempotent_subgroupoid(g: Groupoid) -> Groupoid:
     if not is_ag_star_star(g):
         raise NotAgStarStar("idempotents form a subgroupoid only under both identities")
     ids = idempotents(g)

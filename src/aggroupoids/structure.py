@@ -25,6 +25,7 @@ from .magma import (
     _parse_mag_lines,
     _require_elements,
     format_mag,
+    idempotent_semilattice,
     idempotents,
     is_ag_group,
     is_associative,
@@ -182,7 +183,7 @@ def decompose(g: Groupoid) -> StrongSemilattice:
     """
     mu = max_idempotent_separating(g)
     ids = idempotents(g)
-    y = subgroupoid(g, ids)
+    y = idempotent_semilattice(g)
     classes = []
     for e in ids:
         members = sorted(x for x in g.elements if mu.related(x, e))

@@ -1,9 +1,11 @@
 """The four distinguished congruences and the eight operators on them."""
 
+import pickle
 from pathlib import Path
 
 import pytest
 
+from aggroupoids import canonical, magma
 from aggroupoids import (
     Congruence,
     EquivRelation,
@@ -22,10 +24,11 @@ from aggroupoids import (
     trace_min,
 )
 from aggroupoids.enumeration import EnumerationSpec, enumerate_groupoids
-from aggroupoids.errors import NotCompletelyInverse, NotEUnitary
+from aggroupoids.errors import AlgebraError, NotCompletelyInverse, NotEUnitary
 from aggroupoids.lattice import all_congruences
 from aggroupoids.magma import (
     Groupoid,
+    idempotent_semilattice,
     idempotents,
     parse_mag,
     require_completely_inverse,
@@ -98,6 +101,84 @@ def test_keyed_operators_reject_non_completely_inverse(build):
     band = Groupoid.from_rows(["l", "r"], [["l", "l"], ["r", "r"]])
     with pytest.raises(NotCompletelyInverse):
         build(band)
+
+
+# each kept operator, the module-level compute it keeps, the name it
+# keeps the value under, and whether that is on a congruence rather
+# than on the carrier
+KEPT_OPERATORS = [
+    pytest.param(max_idempotent_separating, canonical, "_mu_of", "_mu", False, id="mu"),
+    pytest.param(least_ag_group_congruence, canonical, "_sigma_of", "_sigma", False, id="sigma"),
+    pytest.param(max_idempotent_pure, canonical, "_tau_of", "_tau", False, id="tau"),
+    pytest.param(
+        idempotent_semilattice,
+        magma,
+        "_idempotent_subgroupoid",
+        "_idempotent_semilattice",
+        False,
+        id="E",
+    ),
+    pytest.param(trace_max, canonical, "_trace_max_of", "_trace_max", True, id="trace_max"),
+    pytest.param(trace_min, canonical, "_trace_min_of", "_trace_min", True, id="trace_min"),
+    pytest.param(kernel_max, canonical, "_kernel_max_of", "_kernel_max", True, id="kernel_max"),
+    pytest.param(
+        ag_group_closure,
+        canonical,
+        "_ag_group_closure_of",
+        "_ag_group_closure",
+        True,
+        id="ag_group_closure",
+    ),
+]
+KEPT_ARGS = "operator, module, compute, name, on_congruence"
+
+
+def _fresh(g, on_congruence):
+    """A new carrier equal to g, or a congruence on one, with nothing kept."""
+    carrier = Groupoid(g.names, g.table)
+    if not on_congruence:
+        return carrier
+    return Congruence(carrier, EquivRelation.from_blocks(carrier.order, [(0, 2), (1,), (3,)]))
+
+
+@pytest.mark.parametrize(KEPT_ARGS, KEPT_OPERATORS)
+def test_each_kept_operator_computes_once_per_object(
+    monkeypatch, f1, operator, module, compute, name, on_congruence
+):
+    computed = []
+    original = getattr(module, compute)
+
+    def counted(obj):
+        computed.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(module, compute, counted)
+    obj = _fresh(f1, on_congruence)
+    first = operator(obj)
+    assert operator(obj) is first
+    assert len(computed) == 1 and computed[0] is obj
+
+
+@pytest.mark.parametrize(KEPT_ARGS, KEPT_OPERATORS)
+def test_an_unpickled_object_recomputes_each_kept_fact(
+    f1, operator, module, compute, name, on_congruence
+):
+    obj = _fresh(f1, on_congruence)
+    first = operator(obj)
+    again = pickle.loads(pickle.dumps(obj))
+    assert again == obj and getattr(again, name, None) is None
+    recomputed = operator(again)
+    assert recomputed == first and recomputed is not first
+
+
+@pytest.mark.parametrize(KEPT_ARGS, KEPT_OPERATORS)
+def test_a_kept_operator_that_raises_keeps_nothing(operator, module, compute, name, on_congruence):
+    band = Groupoid.from_rows(["l", "r"], [["l", "l"], ["r", "r"]])
+    obj = Congruence(band, EquivRelation.identity(2)) if on_congruence else band
+    for _ in range(2):
+        with pytest.raises(AlgebraError):
+            operator(obj)
+    assert getattr(obj, name) is None
 
 
 def _order_five_and_six_tables():

@@ -384,10 +384,30 @@ def test_every_cache_is_seeded_by_every_constructor(f1, f1_report):
 
     carriers = Groupoid(f1.names, f1.table), Groupoid._trusted(f1.names, f1.table)
     for g in carriers:
-        assert private(g) == dict.fromkeys(("_inverse", "_idempotents", "_ag_star_star"))
+        assert private(g) == dict.fromkeys(
+            (
+                "_inverse",
+                "_idempotents",
+                "_ag_star_star",
+                "_idempotent_semilattice",
+                "_mu",
+                "_sigma",
+                "_tau",
+            )
+        )
     rel = EquivRelation.from_blocks(4, [(0, 2), (1,), (3,)])
     for c in Congruence(f1, rel), Congruence._trusted(f1, rel):
-        assert private(c) == dict.fromkeys(("_quotient", "_kernel", "_trace"))
+        assert private(c) == dict.fromkeys(
+            (
+                "_quotient",
+                "_kernel",
+                "_trace",
+                "_trace_max",
+                "_trace_min",
+                "_kernel_max",
+                "_ag_group_closure",
+            )
+        )
     report = LatticeReport(*(getattr(f1_report, f.name) for f in dataclasses.fields(LatticeReport)))
     assert private(report) == {"_index": None}
 

@@ -150,6 +150,22 @@ def test_trace_homomorphism(f1):
     ]
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a left-zero band: its idempotents form a subgroupoid
+        [["l", "l"], ["r", "r"]],
+        # idempotents l and r whose product x is no idempotent
+        [["l", "x", "x"], ["x", "r", "x"], ["x", "x", "l"]],
+    ],
+    ids=["band", "unclosed"],
+)
+def test_trace_homomorphism_rejects_non_completely_inverse(rows):
+    g = Groupoid.from_rows(["l", "r", "x"][: len(rows)], rows)
+    with pytest.raises(NotCompletelyInverse):
+        trace_homomorphism(g)
+
+
 def test_trace_classes(f1_report):
     assert trace_class(f1_report, 0) == (0, 1, 3)
     assert trace_class(f1_report, 2) == (2, 4)
