@@ -231,12 +231,14 @@ class Congruence(_Keeps):
     lattice scan, generated congruences, meets and joins) or by a
     theorem the verify battery tests on its own.
 
-    It keeps (see magma._Keeps) its quotient, kernel and trace, and for
-    the canonical module trace_max, trace_min, kernel_max and
-    ag_group_closure.
+    It keeps (see magma._Keeps), each in a declared slot, its quotient,
+    kernel and trace, and for the canonical module trace_max, trace_min,
+    kernel_max and ag_group_closure.
     """
 
-    _KEPT = (
+    __slots__ = (
+        "groupoid",
+        "rel",
         "_quotient",
         "_kernel",
         "_trace",
@@ -250,7 +252,6 @@ class Congruence(_Keeps):
     rel: EquivRelation
 
     def __post_init__(self):
-        self._seed()
         g, rel = self.groupoid, self.rel
         if rel.order != g.order:
             raise AlgebraError("relation does not match the carrier size")
@@ -269,7 +270,6 @@ class Congruence(_Keeps):
         c = object.__new__(cls)
         object.__setattr__(c, "groupoid", g)
         object.__setattr__(c, "rel", rel)
-        c._seed()
         return c
 
     def related(self, a: int, b: int) -> bool:
@@ -530,7 +530,11 @@ def _require_same_groupoid(c1: Congruence, c2: Congruence) -> None:
 def induced_congruence(upsilon: Congruence, rho: Congruence) -> Congruence:
     """Push a coarser congruence down to the quotient by a finer one;
     the image is compatible because upsilon is (thm-quotient-mu-lifts
-    catches an image that is not)."""
+    catches an image that is not).
+
+    The image lives on the labelled quotient(rho), so like quotient this
+    raises AlgebraError ("duplicate element names") when a block label
+    collides with an element name."""
     _require_same_groupoid(upsilon, rho)
     if not rho.rel.leq(upsilon.rel):
         raise NotARefinement("the quotient congruence does not refine the other")

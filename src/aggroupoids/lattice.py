@@ -102,10 +102,10 @@ class CongruenceMarkers:
 @dataclass(frozen=True)
 class LatticeReport(_Keeps):
     """The congruences of a carrier in scan order, their markers, and the
-    order as index masks. It keeps (see magma._Keeps) the dict from label
-    tuple to index that index_of reads."""
+    order as index masks. It keeps (see magma._Keeps), in a declared slot,
+    the dict from label tuple to index that index_of reads."""
 
-    _KEPT = ("_index",)
+    __slots__ = ("groupoid", "congruences", "markers", "up", "down", "_index")
 
     groupoid: Groupoid
     congruences: tuple[Congruence, ...]

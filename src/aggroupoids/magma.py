@@ -24,13 +24,14 @@ one exchanged variable at, or just past, the other's value, and the
 check and the forcer let the new cell play only the products of the lhs.
 
 A carrier keeps its inverse map, its idempotents, its AG** verdict and
-its idempotent subgroupoid once computed (see _Keeps).
+its idempotent subgroupoid once computed, each in a declared slot (see
+_Keeps).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -78,32 +79,23 @@ def _element_range(n: int) -> range:
 
 
 class _Keeps:
-    """A frozen object that keeps facts about itself: each name in _KEPT
-    is a private attribute that _kept fills on first use.
+    """A frozen object that keeps facts about itself: each kept fact is
+    a private slot, declared in the class's __slots__ beside its fields,
+    that _kept fills on first use; an unset slot means "not computed
+    yet".
 
     Kept facts are not fields, so equality, hash, repr and pickles ignore
-    them, and an unpickled object has none until first use. Only None
-    means "not computed yet"; a compute that raises keeps nothing, so it
-    raises on every call. object.__setattr__ stores a fact beside the
-    fields: a cached_property would give the object a separate __dict__,
-    which costs memory and slows every attribute read, and so would an
-    attribute first set after CPython has sized the object's inline
-    values from the earlier objects of its class. So every constructor
-    calls _seed, which sets each kept name to None.
+    them, and an unpickled object has none until first use. A compute
+    that raises keeps nothing, so it raises on every call. No object has
+    a __dict__, so a kept name missing from __slots__ fails at its first
+    store.
     """
 
-    _KEPT = ()
+    __slots__ = ()
 
-    def _seed(self, _store=object.__setattr__):
-        # every constructor runs this, so the store is bound once
-        for name in self._KEPT:
-            _store(self, name, None)
-
-    # a dataclass without a __post_init__ of its own seeds after __init__
-    __post_init__ = _seed
-
-    def __getstate__(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __reduce__(self):
+        # rebuilt through the constructor from its fields alone
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def _kept(self, name, compute):
         """The fact kept as name; on first use, compute(self), kept."""
@@ -123,7 +115,11 @@ class Groupoid(_Keeps):
     is_ag_star_star and its idempotent subgroupoid E, and for the
     canonical module the congruences mu, sigma and tau."""
 
-    _KEPT = (
+    __slots__ = (
+        "names",
+        "table",
+        # not a field: law scans read it in their innermost loops
+        "elements",
         "_inverse",
         "_idempotents",
         "_ag_star_star",
@@ -135,8 +131,6 @@ class Groupoid(_Keeps):
 
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
-    # a plain attribute: law scans read it in their innermost loops
-    elements: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.names)
@@ -154,11 +148,7 @@ class Groupoid(_Keeps):
             for value in row:
                 if not isinstance(value, int) or not 0 <= value < n:
                     raise AlgebraError(f"table entry {value!r} out of range")
-        self._set_derived()
-
-    def _set_derived(self):
-        object.__setattr__(self, "elements", _element_range(len(self.names)))
-        self._seed()
+        object.__setattr__(self, "elements", _element_range(n))
 
     @classmethod
     def _trusted(cls, names: tuple[str, ...], table: tuple[tuple[int, ...], ...]) -> "Groupoid":
@@ -168,7 +158,7 @@ class Groupoid(_Keeps):
         g = object.__new__(cls)
         object.__setattr__(g, "names", names)
         object.__setattr__(g, "table", table)
-        g._set_derived()
+        object.__setattr__(g, "elements", _element_range(len(names)))
         return g
 
     @property

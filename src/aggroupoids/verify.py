@@ -67,7 +67,9 @@ _REGISTRY: list = []
 
 
 class _Context:
-    """Lazily enumerated families and lattices, shared by all checks of one run."""
+    """Lazily built families, fixtures and lattices, shared by all checks
+    of one run: the carriers live as long as the run, and so do the facts
+    they keep."""
 
     def __init__(self, bound):
         self.bound = bound
@@ -82,6 +84,18 @@ class _Context:
             self._families[class_filter] = tuple(members)
         return self._families[class_filter]
 
+    @functools.cached_property
+    def fixtures(self):
+        """The six named carriers, beside the enumerated families."""
+        return (
+            inverse_monoid4(),
+            subtraction_mod(3),
+            cyclic_group(3),
+            chain_semilattice(3),
+            vee_semilattice(),
+            _structure.compose(collapsing_strong_semilattice()),
+        )
+
     def lattice(self, g):
         key = (g.names, g.table)
         if key not in self._lattices:
@@ -92,19 +106,8 @@ class _Context:
 # --- the universes: each check's instances, by universe name ---
 
 
-def _fixtures():
-    return (
-        inverse_monoid4(),
-        subtraction_mod(3),
-        cyclic_group(3),
-        chain_semilattice(3),
-        vee_semilattice(),
-        _structure.compose(collapsing_strong_semilattice()),
-    )
-
-
 def _completely_inverse(ctx):
-    return ctx.family("completely-inverse") + _fixtures()
+    return ctx.family("completely-inverse") + ctx.fixtures
 
 
 def _congruences_of(ctx):
@@ -149,7 +152,7 @@ _UNIVERSES = {
     "ag": lambda ctx: ctx.family("ag"),
     "ag-star-star": lambda ctx: ctx.family("ag-star-star"),
     "ag-group": lambda ctx: ctx.family("ag-group"),
-    "ag-star-star and fixtures": lambda ctx: ctx.family("ag-star-star") + _fixtures(),
+    "ag-star-star and fixtures": lambda ctx: ctx.family("ag-star-star") + ctx.fixtures,
     "completely-inverse": _completely_inverse,
     "commutative-inverse": lambda ctx: tuple(
         g for g in _completely_inverse(ctx) if _magma.is_commutative(g)

@@ -376,40 +376,23 @@ def test_kernel_and_trace_failures_raise_on_every_call():
             trace(c)
 
 
-def test_every_cache_is_seeded_by_every_constructor(f1, f1_report):
-    # an attribute first set after construction would enlarge the inline
-    # values of every later object of the class
-    def private(obj):
-        return {name: value for name, value in vars(obj).items() if name.startswith("_")}
-
-    carriers = Groupoid(f1.names, f1.table), Groupoid._trusted(f1.names, f1.table)
-    for g in carriers:
-        assert private(g) == dict.fromkeys(
-            (
-                "_inverse",
-                "_idempotents",
-                "_ag_star_star",
-                "_idempotent_semilattice",
-                "_mu",
-                "_sigma",
-                "_tau",
-            )
-        )
+def test_no_kept_object_has_a_dict_however_it_is_built(f1, f1_report):
+    # every kept fact is a declared slot: an object with a __dict__ would
+    # be larger and slower to read, and an undeclared kept name would be
+    # stored in it without an error
     rel = EquivRelation.from_blocks(4, [(0, 2), (1,), (3,)])
-    for c in Congruence(f1, rel), Congruence._trusted(f1, rel):
-        assert private(c) == dict.fromkeys(
-            (
-                "_quotient",
-                "_kernel",
-                "_trace",
-                "_trace_max",
-                "_trace_min",
-                "_kernel_max",
-                "_ag_group_closure",
-            )
-        )
-    report = LatticeReport(*(getattr(f1_report, f.name) for f in dataclasses.fields(LatticeReport)))
-    assert private(report) == {"_index": None}
+    built = [
+        Groupoid(f1.names, f1.table),
+        Groupoid._trusted(f1.names, f1.table),
+        Congruence(f1, rel),
+        Congruence._trusted(f1, rel),
+        LatticeReport(*(getattr(f1_report, f.name) for f in dataclasses.fields(LatticeReport))),
+        f1_report,
+    ]
+    for obj in built + [pickle.loads(pickle.dumps(obj)) for obj in built]:
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "_undeclared", 1)
 
 
 def _cubic_syntactic_labels(g, members):
@@ -446,6 +429,16 @@ def test_induced_congruence(f1, f1_report):
     assert ind.partition_text() == "{a,e} | {b} {f}"
     with pytest.raises(NotARefinement):
         induced_congruence(rho, f1_report.congruences[2])
+
+
+def test_induced_congruence_raises_when_block_labels_collide():
+    # it lives on the labelled quotient, where the block of a and b and
+    # the block of the element "a,b" are both labelled "{a,b}"
+    g = Groupoid.from_function(("a", "b", "a,b"), lambda x, y: 0)
+    rho = Congruence(g, EquivRelation.from_blocks(3, [(0, 1), (2,)]))
+    universal = Congruence(g, EquivRelation.universal(3))
+    with pytest.raises(AlgebraError, match="duplicate element names"):
+        induced_congruence(universal, rho)
 
 
 def test_syntactic_congruence(f1):
