@@ -33,9 +33,9 @@ from .errors import NotEUnitary
 from .congruences import (
     Congruence,
     EquivRelation,
-    _bare_quotient,
     congruence_meet,
     kernel,
+    quotient,
     syntactic_congruence,
 )
 from .magma import (
@@ -212,6 +212,6 @@ def e_unitary_closure(rho: Congruence) -> Congruence:
 def e_unitary_factorization(rho: Congruence) -> tuple[Congruence, Congruence]:
     """Split an E-unitary congruence into its unique AG-group and
     semilattice factors; their meet gives rho back."""
-    if not _is_e_unitary(_bare_quotient(rho.groupoid, rho.rel.block_of)):
+    if not _is_e_unitary(quotient(rho).groupoid):
         raise NotEUnitary("the quotient by this congruence is not E-unitary")
     return ag_group_closure(rho), semilattice_closure(rho)

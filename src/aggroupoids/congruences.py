@@ -470,56 +470,44 @@ def from_kernel_trace(g: Groupoid, pair: CongruencePair) -> Congruence:
 
 @dataclass(frozen=True)
 class Quotient:
-    """Quotient table plus the element-to-block projection."""
+    """The groupoid on the blocks plus the element-to-block projection.
+
+    Each block is named after its least member, blocks in ascending
+    order of least member, so the names are distinct whatever the
+    carrier's names are; the quotient by the identity is the carrier
+    itself."""
 
     groupoid: Groupoid
     projection: tuple[int, ...]
 
 
-def _block_label(g: Groupoid, block: tuple[int, ...]) -> str:
-    return "{" + ",".join(g.names[x] for x in block) + "}"
-
-
-def _quotient_table(table, block_of: Sequence[int]):
-    """The least members of the blocks in ascending order, the index of
-    each element's block among them, and the product of least members
-    read through that projection: for a compatible partition, the
-    quotient table on the blocks in that order."""
+def _quotient_by(
+    g: Groupoid, block_of: Sequence[int]
+) -> tuple[Groupoid, tuple[int, ...]]:
+    """The quotient by a compatible partition, built without validation,
+    and the index of each element's block: the product of two blocks is
+    the block of the product of their least members. The quotient by
+    the identity partition is g itself, with the facts g keeps."""
     leaders = sorted(set(block_of))
+    if len(leaders) == len(block_of):
+        return g, tuple(block_of)
     index = {b: i for i, b in enumerate(leaders)}
     projection = tuple(index[b] for b in block_of)
-    return leaders, projection, tuple(
-        tuple(projection[table[a][b]] for b in leaders) for a in leaders
-    )
-
-
-def _bare_quotient(g: Groupoid, block_of: Sequence[int]) -> Groupoid:
-    """The quotient by a compatible partition, each block named by its
-    least member and built without validation, for the law tests; its
-    names are distinct whatever g's names are. The quotient by the
-    identity partition is g itself, with the facts g keeps."""
-    if len(set(block_of)) == len(block_of):
-        return g
-    leaders, _, table = _quotient_table(g.table, block_of)
-    return Groupoid._trusted(tuple(g.names[b] for b in leaders), table)
+    table = g.table
+    return Groupoid._trusted(
+        tuple(g.names[b] for b in leaders),
+        tuple(tuple(projection[table[a][b]] for b in leaders) for a in leaders),
+    ), projection
 
 
 def quotient(c: Congruence) -> Quotient:
-    """The groupoid on blocks; well defined by compatibility.
-
-    Each block is named "{a,b,...}" after its members and the result
-    is validated, so this raises AlgebraError when two labels collide:
-    on a carrier named "a", "b" and "a,b", the block of a and b is
-    labelled like the element "a,b". _bare_quotient has no such names.
-    The result is kept on c."""
-    return c._kept("_quotient", _labelled_quotient)
+    """The groupoid on blocks, well defined by compatibility, named by
+    least members (see Quotient); kept on c."""
+    return c._kept("_quotient", _quotient_of)
 
 
-def _labelled_quotient(c: Congruence) -> Quotient:
-    g = c.groupoid
-    _, projection, table = _quotient_table(g.table, c.rel.block_of)
-    names = tuple(_block_label(g, block) for block in c.rel.blocks())
-    return Quotient(Groupoid(names, table), projection)
+def _quotient_of(c: Congruence) -> Quotient:
+    return Quotient(*_quotient_by(c.groupoid, c.rel.block_of))
 
 
 def _require_same_groupoid(c1: Congruence, c2: Congruence) -> None:
@@ -530,20 +518,14 @@ def _require_same_groupoid(c1: Congruence, c2: Congruence) -> None:
 def induced_congruence(upsilon: Congruence, rho: Congruence) -> Congruence:
     """Push a coarser congruence down to the quotient by a finer one;
     the image is compatible because upsilon is (thm-quotient-mu-lifts
-    catches an image that is not).
-
-    The image lives on the labelled quotient(rho), so like quotient this
-    raises AlgebraError ("duplicate element names") when a block label
-    collides with an element name."""
+    catches an image that is not). The image lives on quotient(rho), its
+    blocks named by their least members."""
     _require_same_groupoid(upsilon, rho)
     if not rho.rel.leq(upsilon.rel):
         raise NotARefinement("the quotient congruence does not refine the other")
-    q = quotient(rho)
+    # the least members of rho's blocks, ascending, are the quotient's elements
     return Congruence._trusted(
-        q.groupoid,
-        EquivRelation.from_keys(
-            upsilon.rel.block_of[block[0]] for block in rho.rel.blocks()
-        ),
+        quotient(rho).groupoid, upsilon.rel.restrict(set(rho.rel.block_of))
     )
 
 

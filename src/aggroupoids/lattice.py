@@ -53,9 +53,9 @@ from .magma import (
 from .congruences import (
     Congruence,
     EquivRelation,
-    _bare_quotient,
     _canonical_labels,
     _compatibility_witness,
+    _quotient_by,
     format_partition,
     kernel,
     trace,
@@ -190,7 +190,7 @@ def _markers_for(
 ) -> CongruenceMarkers:
     ids = idempotents(g)
     id_blocks = {block_of[e] for e in ids}
-    q = _bare_quotient(g, block_of)
+    q, _ = _quotient_by(g, block_of)
     return CongruenceMarkers(
         idempotent_separating=len(id_blocks) == len(ids),
         idempotent_pure=not any(

@@ -70,9 +70,10 @@ def test_lattice(f1_path):
 
 
 def test_block_labels_that_collide_with_an_element_name(tmp_path):
-    """On the null table named a, b and "a,b" the block of a and b is
-    labelled like the element "a,b"; the markers read a quotient named
-    by least members, so both commands list all 5 partitions."""
+    """On the null table named a, b and "a,b" the block of a and b,
+    named after its members, would be "{a,b}" like the element "a,b";
+    quotients are named by least members, so both commands list all 5
+    partitions."""
     null = tmp_path / "null.mag"
     null.write_text("3\na b a,b\na a a\na a a\na a a\n")
     code, out, err = run(["congruences", str(null)])

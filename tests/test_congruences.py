@@ -28,7 +28,6 @@ from aggroupoids import (
     syntactic_congruence,
     trace,
 )
-from aggroupoids.congruences import _bare_quotient
 from aggroupoids.enumeration import EnumerationSpec, enumerate_groupoids
 from aggroupoids.errors import (
     AlgebraError,
@@ -312,27 +311,19 @@ def test_exactly_the_valid_pairs_reconstruct(f1):
 
 def test_quotient_of_the_running_example(f1, f1_report):
     q = quotient(f1_report.congruences[1])
-    assert q.groupoid.names == ("{a,e}", "{b}", "{f}")
+    # each block is named after its least member: a e | b | f
+    assert q.groupoid.names == ("a", "b", "f")
     assert q.projection == (0, 1, 0, 2)
-    # the markers' quotient is the same table, named by least members
-    bare = _bare_quotient(f1, f1_report.congruences[1].rel.block_of)
-    assert bare.names == ("a", "b", "f")
-    assert bare.table == q.groupoid.table
     # the projection is an operation-preserving map
     for a in f1.elements:
         for b in f1.elements:
             assert q.projection[f1.mul(a, b)] == q.groupoid.mul(
                 q.projection[a], q.projection[b]
             )
-
-
-def test_quotient_raises_when_block_labels_collide():
-    # the block of a and b is labelled "{a,b}", like the element "a,b"
-    g = Groupoid.from_function(("a", "b", "a,b"), lambda x, y: 0)
-    c = Congruence(g, EquivRelation.from_blocks(3, [(0, 1), (2,)]))
-    with pytest.raises(AlgebraError, match="duplicate element names"):
-        quotient(c)
-    assert _bare_quotient(g, c.rel.block_of).names == ("a", "a,b")
+    # the quotient by the identity congruence is the carrier itself
+    identity = quotient(f1_report.congruences[0])
+    assert identity.groupoid is f1
+    assert identity.projection == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("trusted", [False, True])
@@ -426,19 +417,31 @@ def test_induced_congruence(f1, f1_report):
     rho = f1_report.congruences[1]
     mu = f1_report.congruences[3]
     ind = induced_congruence(mu, rho)
-    assert ind.partition_text() == "{a,e} | {b} {f}"
+    assert ind.partition_text() == "a | b f"
     with pytest.raises(NotARefinement):
         induced_congruence(rho, f1_report.congruences[2])
 
 
+def test_quotient_raises_when_block_labels_collide():
+    # the name is kept from when the block of a and b was labelled "{a,b}",
+    # like the element "a,b", and the quotient raised; least-member names
+    # cannot collide, so the quotient now builds
+    g = Groupoid.from_function(("a", "b", "a,b"), lambda x, y: 0)
+    rho = Congruence(g, EquivRelation.from_blocks(3, [(0, 1), (2,)]))
+    q = quotient(rho)
+    assert q.groupoid.names == ("a", "a,b")
+    assert q.projection == (0, 0, 1)
+
+
 def test_induced_congruence_raises_when_block_labels_collide():
-    # it lives on the labelled quotient, where the block of a and b and
-    # the block of the element "a,b" are both labelled "{a,b}"
+    # as above: on the least-member quotient of the same table the induced
+    # congruence builds and relates both blocks
     g = Groupoid.from_function(("a", "b", "a,b"), lambda x, y: 0)
     rho = Congruence(g, EquivRelation.from_blocks(3, [(0, 1), (2,)]))
     universal = Congruence(g, EquivRelation.universal(3))
-    with pytest.raises(AlgebraError, match="duplicate element names"):
-        induced_congruence(universal, rho)
+    induced = induced_congruence(universal, rho)
+    assert induced.groupoid is quotient(rho).groupoid
+    assert induced.related(0, 1)
 
 
 def test_syntactic_congruence(f1):

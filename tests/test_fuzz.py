@@ -5,7 +5,7 @@ Each example starts from a valid text (a table, one of its congruences
 as a partition, or its decomposition into a strong semilattice) and
 applies a few edits: delete, insert or repeat a slice, replace a token,
 or swap two lines. Valid tables with names built from `,`, `{` and `}`
-must pass both lattice commands.
+must pass both lattice commands, and every quotient of them must build.
 """
 
 import contextlib
@@ -23,7 +23,14 @@ from aggroupoids import (
     format_mag,
     parse_mag,
 )
-from aggroupoids.congruences import format_partition, parse_partition
+from aggroupoids.congruences import (
+    Congruence,
+    EquivRelation,
+    format_partition,
+    induced_congruence,
+    parse_partition,
+    quotient,
+)
 from aggroupoids.errors import AlgebraError
 from aggroupoids.magma import Groupoid, is_completely_inverse
 from aggroupoids.samples import chain_semilattice, subtraction_mod
@@ -155,8 +162,8 @@ def _listed(command, out):
 def named_tables(draw):
     """A table of order at most 5, left invertive or not, named by
     tokens over "a", "b", "{" and "}"; from order 3 on, one name is two
-    others joined by ",", so that a block label like "{a,b}" can equal
-    it."""
+    others joined by ",", so that a block named after its members, like
+    "{a,b}", would equal it."""
     table = draw(
         st.sampled_from(AG_TABLES)
         | st.integers(1, 5).flatmap(
@@ -171,7 +178,8 @@ def named_tables(draw):
     token = st.text(alphabet="ab{}", min_size=1, max_size=3)
     names = draw(st.lists(token, min_size=n, max_size=n, unique=True))
     if n >= 3:
-        # the block of a and b is labelled "{<a>,<b>}", as is {<z>}
+        # named after its members, the block of a and b is "{<a>,<b>}",
+        # as is {<z>}
         x, y, z = draw(st.permutations(range(n)))[:3]
         a, b = sorted((x, y))
         names[z] = names[a] + "," + names[b]
@@ -190,4 +198,13 @@ def test_lattice_commands_accept_any_valid_names(tmp_path_factory, g):
             rc = cli.main([command, str(path)])
         assert rc == 0, (command, err.getvalue())
         counts.append(_listed(command, out.getvalue()))
-    assert counts[0] == counts[1] == len(all_congruences(g).congruences)
+    report = all_congruences(g)
+    assert counts[0] == counts[1] == len(report.congruences)
+    # every quotient builds, and the universal congruence induces the
+    # universal one on it
+    top = Congruence(g, EquivRelation.universal(g.order))
+    for c in report.congruences:
+        q = quotient(c).groupoid
+        induced = induced_congruence(top, c)
+        assert induced.groupoid is q and q.order == c.rel.num_blocks
+        assert induced.rel == EquivRelation.universal(q.order)
