@@ -15,7 +15,7 @@ z of that set is then a witness too, as z*(e*a) = e*(z*a) = z*a, so
 each of the three groups a by a key built from z*a.
 
 The closed forms are kept on their carrier or congruence (see
-magma._Keeps): mu, sigma and tau on the carrier, the trace and kernel
+magma._kept): mu, sigma and tau on the carrier, the trace and kernel
 endpoints and the join with sigma on the congruence.
 
 The theorems behind each formula, its extremality against the full
@@ -41,6 +41,7 @@ from .congruences import (
 from .magma import (
     Groupoid,
     _is_e_unitary,
+    _kept,
     idempotents,
     require_completely_inverse,
 )
@@ -83,13 +84,10 @@ def _grouped_by_idempotent(g: Groupoid, label) -> EquivRelation:
     return EquivRelation.from_keys(label[g.table[a][inverse[a]]] for a in g.elements)
 
 
+@_kept("_mu")
 def max_idempotent_separating(g: Groupoid) -> Congruence:
     """Partition by the idempotent a*a^-1; also the least congruence
     with a semilattice quotient. Kept on g."""
-    return g._kept("_mu", _mu_of)
-
-
-def _mu_of(g: Groupoid) -> Congruence:
     # each idempotent labels its own block
     return Congruence._trusted(g, _grouped_by_idempotent(g, g.elements))
 
@@ -99,25 +97,19 @@ def _least_idempotent(g: Groupoid, ids) -> int:
     return functools.reduce(lambda x, e: g.table[x][e], ids)
 
 
+@_kept("_sigma")
 def least_ag_group_congruence(g: Groupoid) -> Congruence:
     """a ~ b iff some idempotent translates them to the same element.
     Kept on g."""
-    return g._kept("_sigma", _sigma_of)
-
-
-def _sigma_of(g: Groupoid) -> Congruence:
     require_completely_inverse(g)
     z = _least_idempotent(g, idempotents(g))
     return Congruence._trusted(g, EquivRelation.from_keys(g.table[z]))
 
 
+@_kept("_tau")
 def max_idempotent_pure(g: Groupoid) -> Congruence:
     """Largest congruence whose idempotent classes are purely idempotent.
     Kept on g."""
-    return g._kept("_tau", _tau_of)
-
-
-def _tau_of(g: Groupoid) -> Congruence:
     require_completely_inverse(g)
     return syntactic_congruence(g, idempotents(g))
 
@@ -135,25 +127,19 @@ def canonical_suite(g: Groupoid) -> CanonicalSuite:
     return CanonicalSuite(mu, sigma, tau, congruence_meet(sigma, mu))
 
 
+@_kept("_trace_max")
 def trace_max(rho: Congruence) -> Congruence:
     """Largest congruence with the same trace: relate a, b whenever
     a*a^-1 and b*b^-1 were already related. Kept on rho."""
-    return rho._kept("_trace_max", _trace_max_of)
-
-
-def _trace_max_of(rho: Congruence) -> Congruence:
     g = rho.groupoid
     return Congruence._trusted(g, _grouped_by_idempotent(g, rho.rel.block_of))
 
 
+@_kept("_trace_min")
 def trace_min(rho: Congruence) -> Congruence:
     """Smallest congruence with the same trace: additionally demand a
     witnessing idempotent inside the class of a*a^-1 translating a and
     b to the same element. Kept on rho."""
-    return rho._kept("_trace_min", _trace_min_of)
-
-
-def _trace_min_of(rho: Congruence) -> Congruence:
     g = rho.groupoid
     inverse = require_completely_inverse(g)
     label = rho.rel.block_of
@@ -172,25 +158,19 @@ def kernel_min(rho: Congruence) -> Congruence:
     return congruence_meet(rho, max_idempotent_separating(rho.groupoid))
 
 
+@_kept("_kernel_max")
 def kernel_max(rho: Congruence) -> Congruence:
     """Largest congruence with the same kernel: the largest congruence
     saturating it. Maximality with respect to the kernel forces kernel
     preservation, which thm-kernel-class-interval checks. Kept on rho."""
-    return rho._kept("_kernel_max", _kernel_max_of)
-
-
-def _kernel_max_of(rho: Congruence) -> Congruence:
     return syntactic_congruence(rho.groupoid, kernel(rho))
 
 
+@_kept("_ag_group_closure")
 def ag_group_closure(rho: Congruence) -> Congruence:
     """Join with the least AG-group congruence, by the translation
     criterion: a ~ b iff (ea, eb) lands in rho for some idempotent e.
     Kept on rho."""
-    return rho._kept("_ag_group_closure", _ag_group_closure_of)
-
-
-def _ag_group_closure_of(rho: Congruence) -> Congruence:
     g = rho.groupoid
     require_completely_inverse(g)
     z = _least_idempotent(g, idempotents(g))

@@ -25,6 +25,7 @@ from .errors import (
 from .magma import (
     Groupoid,
     _Keeps,
+    _kept,
     idempotent_semilattice,
     idempotents,
     is_ag_star_star,
@@ -231,7 +232,7 @@ class Congruence(_Keeps):
     lattice scan, generated congruences, meets and joins) or by a
     theorem the verify battery tests on its own.
 
-    It keeps (see magma._Keeps), each in a declared slot, its quotient,
+    It keeps (see magma._kept), each in a declared slot, its quotient,
     kernel and trace, and for the canonical module trace_max, trace_min,
     kernel_max and ag_group_closure.
     """
@@ -287,10 +288,9 @@ def _compatibility_witness(table, block_of: Sequence[int]):
     a partition before building its relation."""
     n = len(block_of)
     for a in range(n):
-        block = block_of[a]
         row_a = table[a]
         for b in range(a + 1, n):
-            if block_of[b] != block:
+            if block_of[b] != a:
                 continue
             row_b = table[b]
             for c in range(n):
@@ -333,6 +333,7 @@ def congruence_generated_by(g: Groupoid, pairs: Iterable[tuple[int, int]]) -> Co
         rel = grown
 
 
+@_kept("_kernel")
 def kernel(c: Congruence) -> frozenset[int]:
     """Union of classes containing idempotents; kept on c.
 
@@ -341,10 +342,6 @@ def kernel(c: Congruence) -> frozenset[int]:
     On a completely inverse one the two agree by a theorem that
     thm-idempotent-classes-contain-idempotents checks, so only the class
     reading is computed."""
-    return c._kept("_kernel", _kernel_of)
-
-
-def _kernel_of(c: Congruence) -> frozenset[int]:
     g = c.groupoid
     labels = c.rel.block_of
     id_labels = {labels[e] for e in idempotents(g)}
@@ -362,13 +359,10 @@ def _kernel_of(c: Congruence) -> frozenset[int]:
     return by_classes
 
 
+@_kept("_trace")
 def trace(c: Congruence) -> EquivRelation:
     """Restriction to the idempotents, indexed along their sorted order;
     kept on c."""
-    return c._kept("_trace", _trace_of)
-
-
-def _trace_of(c: Congruence) -> EquivRelation:
     ids = idempotents(c.groupoid)
     if not ids:
         raise AlgebraError("no idempotents to restrict to")
@@ -500,13 +494,10 @@ def _quotient_by(
     ), projection
 
 
+@_kept("_quotient")
 def quotient(c: Congruence) -> Quotient:
     """The groupoid on blocks, well defined by compatibility, named by
     least members (see Quotient); kept on c."""
-    return c._kept("_quotient", _quotient_of)
-
-
-def _quotient_of(c: Congruence) -> Quotient:
     return Quotient(*_quotient_by(c.groupoid, c.rel.block_of))
 
 

@@ -43,6 +43,7 @@ from .magma import (
     Groupoid,
     _Keeps,
     _is_e_unitary,
+    _kept,
     idempotent_semilattice,
     idempotents,
     is_ag_group,
@@ -102,7 +103,7 @@ class CongruenceMarkers:
 @dataclass(frozen=True)
 class LatticeReport(_Keeps):
     """The congruences of a carrier in scan order, their markers, and the
-    order as index masks. It keeps (see magma._Keeps), in a declared slot,
+    order as index masks. It keeps (see magma._kept), in a declared slot,
     the dict from label tuple to index that index_of reads."""
 
     __slots__ = ("groupoid", "congruences", "markers", "up", "down", "_index")
@@ -123,7 +124,7 @@ class LatticeReport(_Keeps):
         return ((above := self.up[i] & self.up[j]) & -above).bit_length() - 1
 
     def index_of(self, rel: EquivRelation) -> int:
-        i = self._kept("_index", _index_by_labels).get(rel.block_of)
+        i = _index_by_labels(self).get(rel.block_of)
         if i is None:
             raise KeyError("relation is not a congruence of this lattice")
         return i
@@ -137,6 +138,7 @@ class LatticeReport(_Keeps):
         return len(self.congruences) - 1
 
 
+@_kept("_index")
 def _index_by_labels(report: LatticeReport) -> dict:
     return {c.rel.block_of: i for i, c in enumerate(report.congruences)}
 

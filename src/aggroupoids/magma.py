@@ -24,7 +24,8 @@ one exchanged variable at, or just past, the other's value, and the
 check and the forcer let the new cell play only the products of the lhs.
 
 A carrier keeps its inverse map, its idempotents, its AG** verdict and
-its idempotent subgroupoid once computed, each in a declared slot (see
+its idempotent subgroupoid once computed, each in a declared slot. Each
+kept fact is one function, decorated by _kept with its slot's name (see
 _Keeps).
 """
 
@@ -47,7 +48,6 @@ __all__ = [
     "ClassificationReport",
     "check_identity",
     "is_left_invertive",
-    "is_ag",
     "is_ag_star_star",
     "is_medial",
     "is_paramedial",
@@ -78,15 +78,34 @@ def _element_range(n: int) -> range:
     return range(n)
 
 
+def _kept(name):
+    """Decorate compute(obj) into the reader of the fact kept in obj's
+    slot name: on first use it stores compute(obj) there, and later
+    reads return the stored value. An unset slot means "not computed
+    yet"; a compute that raises keeps nothing, so it raises on every
+    call."""
+
+    def reader(compute):
+        @functools.wraps(compute)
+        def read(obj):
+            value = getattr(obj, name, None)
+            if value is None:
+                value = compute(obj)
+                object.__setattr__(obj, name, value)
+            return value
+
+        return read
+
+    return reader
+
+
 class _Keeps:
     """A frozen object that keeps facts about itself: each kept fact is
     a private slot, declared in the class's __slots__ beside its fields,
-    that _kept fills on first use; an unset slot means "not computed
-    yet".
+    that a _kept reader fills on first use.
 
     Kept facts are not fields, so equality, hash, repr and pickles ignore
-    them, and an unpickled object has none until first use. A compute
-    that raises keeps nothing, so it raises on every call. No object has
+    them, and an unpickled object has none until first use. No object has
     a __dict__, so a kept name missing from __slots__ fails at its first
     store.
     """
@@ -97,20 +116,12 @@ class _Keeps:
         # rebuilt through the constructor from its fields alone
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-    def _kept(self, name, compute):
-        """The fact kept as name; on first use, compute(self), kept."""
-        value = getattr(self, name, None)
-        if value is None:
-            value = compute(self)
-            object.__setattr__(self, name, value)
-        return value
-
 
 @dataclass(frozen=True)
 class Groupoid(_Keeps):
     """A finite magma: a tuple of element names and an index Cayley table.
 
-    It keeps (see _Keeps) its inverse map or the message saying why it
+    It keeps (see _kept) its inverse map or the message saying why it
     has none (see _find_inverse_map), its idempotents, the verdict of
     is_ag_star_star and its idempotent subgroupoid E, and for the
     canonical module the congruences mu, sigma and tau."""
@@ -509,16 +520,9 @@ def is_left_invertive(g: Groupoid) -> bool:
     return check_identity(g, *LEFT_INVERTIVE)
 
 
-def is_ag(g: Groupoid) -> bool:
-    return is_left_invertive(g)
-
-
+@_kept("_ag_star_star")
 def is_ag_star_star(g: Groupoid) -> bool:
     """Left invertive plus x(yz) = y(xz) for all x, y, z; kept on g."""
-    return g._kept("_ag_star_star", _both_laws)
-
-
-def _both_laws(g: Groupoid) -> bool:
     # the swap law first: where it fails, classify's own left invertive
     # scan is the only one
     return check_identity(g, *SWAP_LAW) and is_left_invertive(g)
@@ -551,12 +555,9 @@ def is_semilattice(g: Groupoid) -> bool:
     return is_idempotent_table(g) and is_commutative(g) and is_associative(g)
 
 
+@_kept("_idempotents")
 def idempotents(g: Groupoid) -> tuple[int, ...]:
     """The idempotents of g in increasing order; kept on g."""
-    return g._kept("_idempotents", _idempotents_of)
-
-
-def _idempotents_of(g: Groupoid) -> tuple[int, ...]:
     return tuple(x for x in g.elements if g.table[x][x] == x)
 
 
@@ -581,8 +582,10 @@ def is_regular(g: Groupoid) -> bool:
     return all(inverses_of(g, a) for a in g.elements)
 
 
+@_kept("_inverse")
 def _find_inverse_map(g: Groupoid) -> "tuple[int, ...] | str":
-    """The inverse map a -> a^-1, or the message saying why there is none.
+    """The inverse map a -> a^-1, or the message saying why there is none;
+    kept on g.
 
     Checks, in order: both defining identities (the kept verdict of
     is_ag_star_star; on failure the left invertive scan alone names the
@@ -616,7 +619,7 @@ def require_completely_inverse(g: Groupoid) -> tuple[int, ...]:
     The map, or the failure message, is kept on the carrier, so each
     failing call raises a fresh exception with the same message.
     """
-    inverse = g._kept("_inverse", _find_inverse_map)
+    inverse = _find_inverse_map(g)
     if isinstance(inverse, str):
         raise NotCompletelyInverse(inverse)
     return inverse
@@ -626,7 +629,7 @@ def is_completely_inverse(g: Groupoid) -> bool:
     """Both defining identities hold and every element has exactly one
     inverse, which commutes with it; require_completely_inverse is the
     definition, and both read the same per-carrier result."""
-    return not isinstance(g._kept("_inverse", _find_inverse_map), str)
+    return not isinstance(_find_inverse_map(g), str)
 
 
 def _ag_group_by_solutions(g: Groupoid) -> bool:
@@ -750,15 +753,12 @@ def subgroupoid(g: Groupoid, subset: Iterable[int]) -> Groupoid:
     return Groupoid(tuple(g.names[a] for a in members), tuple(table))
 
 
+@_kept("_idempotent_semilattice")
 def idempotent_semilattice(g: Groupoid) -> Groupoid:
     """The subgroupoid on the idempotents; a semilattice whenever both
     defining identities hold and there is at least one idempotent (the
     battery check thm-idempotents-form-semilattice tests this); kept
     on g."""
-    return g._kept("_idempotent_semilattice", _idempotent_subgroupoid)
-
-
-def _idempotent_subgroupoid(g: Groupoid) -> Groupoid:
     if not is_ag_star_star(g):
         raise NotAgStarStar("idempotents form a subgroupoid only under both identities")
     ids = idempotents(g)

@@ -21,7 +21,9 @@ from .errors import (
 )
 from .magma import (
     Groupoid,
+    _Keeps,
     _content_lines,
+    _kept,
     _parse_mag_lines,
     _require_elements,
     format_mag,
@@ -62,14 +64,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StrongSemilattice:
+class StrongSemilattice(_Keeps):
     """Semilattice-indexed components glued by downward maps.
 
     maps holds one entry (alpha, beta, images) per comparable index pair
     alpha >= beta, diagonals included; images[i] is the target-component
     index of the i-th source-component element. Construction checks only
-    shape; validate_structure checks the algebraic laws.
+    shape; validate_structure checks the algebraic laws. It keeps (see
+    magma._kept), in a declared slot, the dict from index pair to images
+    that map_images reads.
     """
+
+    __slots__ = ("semilattice", "components", "maps", "_images_of")
 
     semilattice: Groupoid
     components: tuple[Groupoid, ...]
@@ -85,11 +91,9 @@ class StrongSemilattice:
         expected = {
             (i, j) for i in y.elements for j in y.elements if y.table[i][j] == j
         }
-        images_of = {(i, j): images for i, j, images in self.maps}
-        if images_of.keys() != expected or len(self.maps) != len(expected):
+        pairs = {(i, j) for i, j, _ in self.maps}
+        if pairs != expected or len(self.maps) != len(expected):
             raise InvalidStructure("maps", "maps must cover exactly the comparable index pairs")
-        # not a field, so equality, hash and repr still read maps alone
-        object.__setattr__(self, "_images_of", images_of)
         for i, j, images in self.maps:
             if len(images) != self.components[i].order or not all(
                 0 <= v < self.components[j].order for v in images
@@ -97,10 +101,15 @@ class StrongSemilattice:
                 raise InvalidStructure("maps", f"map {i} -> {j} has the wrong shape")
 
     def map_images(self, alpha: int, beta: int) -> tuple[int, ...]:
-        images = self._images_of.get((alpha, beta))
+        images = _images_by_pair(self).get((alpha, beta))
         if images is None:
             raise AlgebraError(f"no map for index pair ({alpha}, {beta})")
         return images
+
+
+@_kept("_images_of")
+def _images_by_pair(s: StrongSemilattice) -> dict:
+    return {(i, j): images for i, j, images in s.maps}
 
 
 def validate_structure(s: StrongSemilattice) -> None:

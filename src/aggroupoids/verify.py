@@ -161,7 +161,8 @@ _UNIVERSES = {
     "completely-inverse x congruence pairs": _congruence_pairs,
     "completely-inverse x subgroupoids": _closed_subgroupoids,
     "ag-star-star x subsets": _subsets,
-    "fixture": lambda ctx: (inverse_monoid4(),),
+    # the four-element inverse monoid
+    "fixture": lambda ctx: ctx.fixtures[:1],
     "engine": lambda ctx: range(2, min(ctx.bound, 4) + 1),
 }
 

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from aggroupoids import canonical, magma
 from aggroupoids import (
     Congruence,
     EquivRelation,
@@ -103,34 +102,19 @@ def test_keyed_operators_reject_non_completely_inverse(build):
         build(band)
 
 
-# each kept operator, the module-level compute it keeps, the name it
-# keeps the value under, and whether that is on a congruence rather
-# than on the carrier
+# each kept operator, the name of the slot it keeps its value in, and
+# whether that is on a congruence rather than on the carrier
 KEPT_OPERATORS = [
-    pytest.param(max_idempotent_separating, canonical, "_mu_of", "_mu", False, id="mu"),
-    pytest.param(least_ag_group_congruence, canonical, "_sigma_of", "_sigma", False, id="sigma"),
-    pytest.param(max_idempotent_pure, canonical, "_tau_of", "_tau", False, id="tau"),
-    pytest.param(
-        idempotent_semilattice,
-        magma,
-        "_idempotent_subgroupoid",
-        "_idempotent_semilattice",
-        False,
-        id="E",
-    ),
-    pytest.param(trace_max, canonical, "_trace_max_of", "_trace_max", True, id="trace_max"),
-    pytest.param(trace_min, canonical, "_trace_min_of", "_trace_min", True, id="trace_min"),
-    pytest.param(kernel_max, canonical, "_kernel_max_of", "_kernel_max", True, id="kernel_max"),
-    pytest.param(
-        ag_group_closure,
-        canonical,
-        "_ag_group_closure_of",
-        "_ag_group_closure",
-        True,
-        id="ag_group_closure",
-    ),
+    pytest.param(max_idempotent_separating, "_mu", False, id="mu"),
+    pytest.param(least_ag_group_congruence, "_sigma", False, id="sigma"),
+    pytest.param(max_idempotent_pure, "_tau", False, id="tau"),
+    pytest.param(idempotent_semilattice, "_idempotent_semilattice", False, id="E"),
+    pytest.param(trace_max, "_trace_max", True, id="trace_max"),
+    pytest.param(trace_min, "_trace_min", True, id="trace_min"),
+    pytest.param(kernel_max, "_kernel_max", True, id="kernel_max"),
+    pytest.param(ag_group_closure, "_ag_group_closure", True, id="ag_group_closure"),
 ]
-KEPT_ARGS = "operator, module, compute, name, on_congruence"
+KEPT_ARGS = "operator, name, on_congruence"
 
 
 def _fresh(g, on_congruence):
@@ -142,27 +126,19 @@ def _fresh(g, on_congruence):
 
 
 @pytest.mark.parametrize(KEPT_ARGS, KEPT_OPERATORS)
-def test_each_kept_operator_computes_once_per_object(
-    monkeypatch, f1, operator, module, compute, name, on_congruence
-):
-    computed = []
-    original = getattr(module, compute)
-
-    def counted(obj):
-        computed.append(obj)
-        return original(obj)
-
-    monkeypatch.setattr(module, compute, counted)
+def test_each_kept_operator_computes_once_per_object(f1, operator, name, on_congruence):
     obj = _fresh(f1, on_congruence)
     first = operator(obj)
-    assert operator(obj) is first
-    assert len(computed) == 1 and computed[0] is obj
+    assert getattr(obj, name) is first and operator(obj) is first
+    # a value already in the slot is read, not computed again
+    primed = _fresh(f1, on_congruence)
+    stored = object()
+    object.__setattr__(primed, name, stored)
+    assert operator(primed) is stored
 
 
 @pytest.mark.parametrize(KEPT_ARGS, KEPT_OPERATORS)
-def test_an_unpickled_object_recomputes_each_kept_fact(
-    f1, operator, module, compute, name, on_congruence
-):
+def test_an_unpickled_object_recomputes_each_kept_fact(f1, operator, name, on_congruence):
     obj = _fresh(f1, on_congruence)
     first = operator(obj)
     again = pickle.loads(pickle.dumps(obj))
@@ -172,7 +148,7 @@ def test_an_unpickled_object_recomputes_each_kept_fact(
 
 
 @pytest.mark.parametrize(KEPT_ARGS, KEPT_OPERATORS)
-def test_a_kept_operator_that_raises_keeps_nothing(operator, module, compute, name, on_congruence):
+def test_a_kept_operator_that_raises_keeps_nothing(operator, name, on_congruence):
     band = Groupoid.from_rows(["l", "r"], [["l", "l"], ["r", "r"]])
     obj = Congruence(band, EquivRelation.identity(2)) if on_congruence else band
     for _ in range(2):

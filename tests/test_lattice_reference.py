@@ -166,6 +166,21 @@ def _compatible(g, rel):
     )
 
 
+def _first_split(table, block_of):
+    """The first (a, b, c, side) over every pair a < b in one block, then
+    every c, left translation before right, whose translates fall in
+    different blocks; None when there is none."""
+    for a, b in itertools.combinations(range(len(block_of)), 2):
+        if block_of[a] != block_of[b]:
+            continue
+        for c in range(len(block_of)):
+            if block_of[table[c][a]] != block_of[table[c][b]]:
+                return a, b, c, "left"
+            if block_of[table[a][c]] != block_of[table[b][c]]:
+                return a, b, c, "right"
+    return None
+
+
 def _scanned_congruences(g):
     return [
         rel
@@ -206,7 +221,9 @@ def test_tables_match_the_relation_oracle(universe):
 def test_pruned_scan_keeps_exactly_the_congruences(universe):
     """With the prefix cut or without it, the tuples that pass the
     compatibility test are those of iter_partitions that is_congruence
-    accepts; the cut drops tuples but keeps the order of the rest."""
+    accepts; the cut drops tuples but keeps the order of the rest. The
+    test's witness, which starts pairs only at least members, is the
+    first split over all pairs."""
     for g in _universe(universe):
         expected = sorted(
             rel.block_of for rel in iter_partitions(g.order) if is_congruence(g, rel)
@@ -215,6 +232,8 @@ def test_pruned_scan_keeps_exactly_the_congruences(universe):
         pruned = _partition_labels(g.order, g.table)
         rest = iter(every)
         assert all(labels in rest for labels in pruned)
+        for labels in every:
+            assert _compatibility_witness(g.table, labels) == _first_split(g.table, labels)
         for scanned in (every, pruned):
             kept = [b for b in scanned if _compatibility_witness(g.table, b) is None]
             assert sorted(kept) == expected

@@ -31,9 +31,9 @@ from aggroupoids.magma import (
     ag_group_left_identity,
     check_identity,
     idempotent_semilattice,
-    is_ag,
     is_ag_star_star,
     is_completely_inverse,
+    is_left_invertive,
     left_identities,
     require_completely_inverse,
     same_operation,
@@ -188,7 +188,7 @@ def test_left_invertive_but_not_both_laws():
         ["0", "1", "2"],
         [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "0"]],
     )
-    assert is_ag(g)
+    assert is_left_invertive(g)
     assert not is_ag_star_star(g)
 
 

@@ -1,5 +1,7 @@
 """Strong semilattice decomposition, natural order, normal subgroupoids."""
 
+import pickle
+
 import pytest
 
 from aggroupoids import (
@@ -86,6 +88,11 @@ def test_map_images_reads_each_pair_and_rejects_an_incomparable_one():
     assert again != s
     assert StrongSemilattice(s.semilattice, s.components, s.maps) == s
     assert "_images_of" not in repr(s)
+    # it is a declared slot: no __dict__, and a pickle rebuilds from maps
+    assert not hasattr(s, "__dict__")
+    again = pickle.loads(pickle.dumps(s))
+    assert again == s and getattr(again, "_images_of", None) is None
+    assert again.map_images(0, 1) == s.map_images(0, 1)
 
 
 def test_compose_rejects_maps_that_do_not_compose_along_a_chain():

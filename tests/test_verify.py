@@ -92,9 +92,8 @@ def test_only_the_constructing_modules_trust_a_congruence():
 
 
 def test_kept_facts_are_stored_only_by_keeps():
-    # a frozen object keeps a computed fact through magma._Keeps; the one
-    # other private attribute, StrongSemilattice._images_of, is built
-    # eagerly by its __post_init__
+    # a frozen object keeps a computed fact only through a magma._kept
+    # reader, which stores it in the slot its decorator names
     package = Path(__file__).resolve().parents[1] / "src" / "aggroupoids"
 
     def stores(node, where):
@@ -116,10 +115,7 @@ def test_kept_facts_are_stored_only_by_keeps():
         for path in package.glob("*.py")
         for store in stores(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     }
-    assert {store for store in found if store[0] != "magma._Keeps"} == {
-        ("structure.StrongSemilattice", "'_images_of'")
-    }
-    assert ("magma._Keeps", "name") in found
+    assert found == {("magma", "name")}
 
 
 def test_the_battery_borrows_no_private_canonical_helper():
