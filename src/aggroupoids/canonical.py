@@ -192,6 +192,6 @@ def e_unitary_closure(rho: Congruence) -> Congruence:
 def e_unitary_factorization(rho: Congruence) -> tuple[Congruence, Congruence]:
     """Split an E-unitary congruence into its unique AG-group and
     semilattice factors; their meet gives rho back."""
-    if not _is_e_unitary(quotient(rho).groupoid):
+    if not _is_e_unitary(quotient(rho).groupoid.table):
         raise NotEUnitary("the quotient by this congruence is not E-unitary")
     return ag_group_closure(rho), semilattice_closure(rho)

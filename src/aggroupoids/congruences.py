@@ -152,9 +152,10 @@ class EquivRelation:
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks ordered by their least member; members ascending."""
         grouped: dict[int, list[int]] = {}
+        # block b is first met at x = b, so the dict is in least-member order
         for x, b in enumerate(self.block_of):
             grouped.setdefault(b, []).append(x)
-        return tuple(tuple(grouped[b]) for b in sorted(grouped))
+        return tuple(map(tuple, grouped.values()))
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Related pairs (a, b) with a < b."""
@@ -216,9 +217,7 @@ def parse_partition(text: str, names: Sequence[str]) -> EquivRelation:
 
 def format_partition(rel: EquivRelation, names: Sequence[str]) -> str:
     """Inverse of parse_partition, canonical block and member order."""
-    return " | ".join(
-        " ".join(names[x] for x in block) for block in rel.blocks()
-    )
+    return " | ".join([" ".join([names[x] for x in block]) for block in rel.blocks()])
 
 
 @dataclass(frozen=True)
@@ -479,19 +478,28 @@ def _quotient_by(
     g: Groupoid, block_of: Sequence[int]
 ) -> tuple[Groupoid, tuple[int, ...]]:
     """The quotient by a compatible partition, built without validation,
-    and the index of each element's block: the product of two blocks is
-    the block of the product of their least members. The quotient by
-    the identity partition is g itself, with the facts g keeps."""
-    leaders = sorted(set(block_of))
-    if len(leaders) == len(block_of):
+    and the index of each element's block (see _quotient_table). The
+    quotient by the identity partition is g itself, with the facts g
+    keeps."""
+    index = _block_index(block_of)
+    if len(index) == len(block_of):
         return g, tuple(block_of)
-    index = {b: i for i, b in enumerate(leaders)}
-    projection = tuple(index[b] for b in block_of)
-    table = g.table
     return Groupoid._trusted(
-        tuple(g.names[b] for b in leaders),
-        tuple(tuple(projection[table[a][b]] for b in leaders) for a in leaders),
-    ), projection
+        tuple(g.names[b] for b in index), _quotient_table(g.table, block_of, index)
+    ), tuple(index[b] for b in block_of)
+
+
+def _block_index(block_of: Sequence[int]) -> dict[int, int]:
+    """The index of each block by ascending least member, keyed by that
+    least member, in ascending order."""
+    return {b: i for i, b in enumerate(sorted(set(block_of)))}
+
+
+def _quotient_table(table, block_of: Sequence[int], index: dict[int, int]):
+    """The product table on the blocks of a compatible partition, rows
+    and columns in the order of index (see _block_index): the product of
+    two blocks is the block of the product of their least members."""
+    return tuple([tuple([index[block_of[table[a][b]]] for b in index]) for a in index])
 
 
 @_kept("_quotient")

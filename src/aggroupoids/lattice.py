@@ -18,7 +18,9 @@ The congruences are sorted by decreasing number of blocks, so no
 relation comes after one strictly above it. The report keeps the order
 once, as `up` and `down` index masks read off one column mask per pair
 of elements, and computes meet and join on demand from them (see
-`all_congruences`), without building any relation.
+`all_congruences`), without building any relation. The formatter reads
+each meet and join row in one call (`LatticeReport.meet_row` and
+`join_row`).
 
 On a completely inverse table the fundamental and E-disjunctive markers
 are read off the same masks: a congruence is a fixed point of
@@ -28,8 +30,10 @@ tests of the laws they name on the quotient: the battery checks the
 closed forms of the least semilattice, AG-group and E-unitary
 congruences against them, and a marker read as "lies above the closed
 form" would make those checks restate themselves. All markers are read
-from the label tuples, the laws on the quotient table over the blocks'
-least members.
+from the label tuples, the laws on the bare quotient table over the
+blocks' least members (`congruences._quotient_table`): no quotient
+carrier, projection or names are built, and each law runs the same
+table-level body as its `magma` predicate.
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ from .errors import AlgebraError, NotASublattice, OrderTooLarge
 from .magma import (
     Groupoid,
     _Keeps,
+    _is_ag_group_table,
     _is_e_unitary,
+    _is_semilattice_table,
     _kept,
     idempotent_semilattice,
     idempotents,
-    is_ag_group,
     is_completely_inverse,
-    is_semilattice,
     require_completely_inverse,
 )
 from .congruences import (
@@ -56,7 +60,8 @@ from .congruences import (
     EquivRelation,
     _canonical_labels,
     _compatibility_witness,
-    _quotient_by,
+    _block_index,
+    _quotient_table,
     format_partition,
     kernel,
     trace,
@@ -95,16 +100,20 @@ class CongruenceMarkers:
 
     def names(self) -> tuple[str, ...]:
         """Kebab-case names of the markers that hold."""
-        return tuple(
-            f.name.replace("_", "-") for f in fields(self) if getattr(self, f.name)
-        )
+        return tuple([label for name, label in _MARKER_LABELS if getattr(self, name)])
+
+
+# (field, kebab-case label) of each marker, in declaration order
+_MARKER_LABELS = tuple((f.name, f.name.replace("_", "-")) for f in fields(CongruenceMarkers))
 
 
 @dataclass(frozen=True)
 class LatticeReport(_Keeps):
     """The congruences of a carrier in scan order, their markers, and the
-    order as index masks. It keeps (see magma._kept), in a declared slot,
-    the dict from label tuple to index that index_of reads."""
+    order as index masks. meet and join read one entry, meet_row and
+    join_row a whole row, as format_lattice_report does. It keeps (see
+    magma._kept), in a declared slot, the dict from label tuple to index
+    that index_of reads."""
 
     __slots__ = ("groupoid", "congruences", "markers", "up", "down", "_index")
 
@@ -122,6 +131,16 @@ class LatticeReport(_Keeps):
 
     def join(self, i: int, j: int) -> int:
         return ((above := self.up[i] & self.up[j]) & -above).bit_length() - 1
+
+    def meet_row(self, i: int) -> tuple[int, ...]:
+        """meet(i, j) for every index j, in index order."""
+        below = self.down[i]
+        return tuple([(below & down).bit_length() - 1 for down in self.down])
+
+    def join_row(self, i: int) -> tuple[int, ...]:
+        """join(i, j) for every index j, in index order."""
+        above = self.up[i]
+        return tuple([((both := above & up) & -both).bit_length() - 1 for up in self.up])
 
     def index_of(self, rel: EquivRelation) -> int:
         i = _index_by_labels(self).get(rel.block_of)
@@ -185,21 +204,20 @@ def iter_partitions(n: int) -> Iterator[EquivRelation]:
 
 
 def _markers_for(
-    g: Groupoid,
+    table,
     block_of: tuple[int, ...],
+    ids: tuple[int, ...],
     fundamental: bool | None,
     e_disjunctive: bool | None,
 ) -> CongruenceMarkers:
-    ids = idempotents(g)
     id_blocks = {block_of[e] for e in ids}
-    q, _ = _quotient_by(g, block_of)
+    q = _quotient_table(table, block_of, _block_index(block_of))
     return CongruenceMarkers(
         idempotent_separating=len(id_blocks) == len(ids),
-        idempotent_pure=not any(
-            block_of[a] in id_blocks for a in g.elements if a not in ids
-        ),
-        semilattice=is_semilattice(q),
-        ag_group=is_ag_group(q),
+        # the blocks of the idempotents hold no other element
+        idempotent_pure=sum(map(id_blocks.__contains__, block_of)) == len(ids),
+        semilattice=_is_semilattice_table(q),
+        ag_group=_is_ag_group_table(q),
         e_unitary=_is_e_unitary(q),
         fundamental=fundamental,
         e_disjunctive=e_disjunctive,
@@ -247,7 +265,7 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     join has fewer blocks than the join, so the join is the lowest
     index among the common upper bounds; dually, the meet is the
     highest index among the common lower bounds. `LatticeReport`
-    computes both on demand.
+    computes both on demand, one entry or one row per call.
 
     On a completely inverse table a congruence is fundamental when it
     is the top of its trace class, and E-disjunctive when it is the top
@@ -255,11 +273,13 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     are read off the index masks too, keyed by the labels of the
     idempotents (the trace) and by which elements share a block with an
     idempotent (the kernel). The semilattice, ag-group and e-unitary
-    markers test the quotient table on the blocks' least members, so
-    that the battery checks comparing them with the closed-form least
-    congruences (`thm-mu-least-semilattice`,
-    `thm-sigma-least-ag-group`, `thm-pi-least-e-unitary`) compare two
-    independent readings.
+    markers test their laws on the bare quotient table over the blocks'
+    least members, with the table-level bodies of `is_semilattice`,
+    `is_ag_group` and `_is_e_unitary`, so that the battery checks
+    comparing them with the closed-form least congruences
+    (`thm-mu-least-semilattice`, `thm-sigma-least-ag-group`,
+    `thm-pi-least-e-unitary`) compare two independent readings. No
+    quotient carrier is built for them.
     """
     if g.order > bound:
         raise OrderTooLarge(
@@ -289,8 +309,8 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
                 up[i] &= column
             else:
                 down[i] &= outside
+    ids = idempotents(g)
     if is_completely_inverse(g):
-        ids = idempotents(g)
         fundamental = _class_tops(
             up, [_canonical_labels(block_of[e] for e in ids) for block_of in labels]
         )
@@ -298,7 +318,7 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     else:
         fundamental = e_disjunctive = [None] * len(congruences)
     markers = tuple(
-        _markers_for(g, block_of, f, e)
+        _markers_for(table, block_of, ids, f, e)
         for block_of, f, e in zip(labels, fundamental, e_disjunctive)
     )
     return LatticeReport(g, congruences, markers, tuple(up), tuple(down))
@@ -485,15 +505,15 @@ def format_lattice_report(report: LatticeReport) -> str:
     """Structured text: partitions, meet and join index tables, marker
     lines; deterministic for byte-exact comparison."""
     g = report.groupoid
+    indices = [str(i) for i in range(len(report.congruences))]
     lines = ["congruences:"]
-    for i, c in enumerate(report.congruences):
+    for i, c in zip(indices, report.congruences):
         lines.append(f"  {i}: {format_partition(c.rel, g.names)}")
-    indices = range(len(report.congruences))
-    for name, op in (("meet", report.meet), ("join", report.join)):
+    for name, row in (("meet", report.meet_row), ("join", report.join_row)):
         lines.append(f"{name}:")
-        lines.extend("  " + " ".join(str(op(i, j)) for j in indices) for i in indices)
+        for i in range(len(indices)):
+            lines.append("  " + " ".join([indices[j] for j in row(i)]))
     lines.append("markers:")
-    for i, m in enumerate(report.markers):
-        names = m.names()
-        lines.append(f"  {i}: " + (" ".join(names) if names else "-"))
+    for i, m in zip(indices, report.markers):
+        lines.append(f"  {i}: " + (" ".join(m.names()) or "-"))
     return "\n".join(lines) + "\n"

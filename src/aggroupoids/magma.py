@@ -27,11 +27,19 @@ A carrier keeps its inverse map, its idempotents, its AG** verdict and
 its idempotent subgroupoid once computed, each in a declared slot. Each
 kept fact is one function, decorated by _kept with its slot's name (see
 _Keeps).
+
+The laws the lattice markers test on quotient tables have their body
+on a bare table, whose rows may be tuples or lists: is_semilattice,
+idempotents, left_identities and is_ag_group read g.table through
+_is_semilattice_table, _idempotents_of, _left_identities_of and
+_is_ag_group_table, and _is_e_unitary and _ag_group_by_solutions take
+the table itself.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -547,24 +555,42 @@ def is_associative(g: Groupoid) -> bool:
 
 
 def is_idempotent_table(g: Groupoid) -> bool:
-    return all(g.table[x][x] == x for x in g.elements)
+    return len(idempotents(g)) == g.order
 
 
 def is_semilattice(g: Groupoid) -> bool:
     """Idempotent, commutative and associative."""
-    return is_idempotent_table(g) and is_commutative(g) and is_associative(g)
+    return _is_semilattice_table(g.table)
+
+
+def _is_semilattice_table(table) -> bool:
+    # is_semilattice on a bare table, such as a quotient with no Groupoid
+    elements = _element_range(len(table))
+    return (
+        len(_idempotents_of(table)) == len(table)
+        and _compiled_identity(*COMMUTATIVE)(table, elements)
+        and _compiled_identity(*ASSOCIATIVE)(table, elements)
+    )
 
 
 @_kept("_idempotents")
 def idempotents(g: Groupoid) -> tuple[int, ...]:
     """The idempotents of g in increasing order; kept on g."""
-    return tuple(x for x in g.elements if g.table[x][x] == x)
+    return _idempotents_of(g.table)
+
+
+def _idempotents_of(table) -> tuple[int, ...]:
+    return tuple([x for x, row in enumerate(table) if row[x] == x])
 
 
 def left_identities(g: Groupoid) -> tuple[int, ...]:
-    return tuple(
-        e for e in g.elements if all(g.table[e][x] == x for x in g.elements)
-    )
+    return _left_identities_of(g.table)
+
+
+def _left_identities_of(table) -> tuple[int, ...]:
+    # entry by entry: the rows of a public Groupoid may be lists
+    elements = _element_range(len(table))
+    return tuple([e for e, row in enumerate(table) if all(map(operator.eq, row, elements))])
 
 
 def inverses_of(g: Groupoid, a: int) -> tuple[int, ...]:
@@ -632,21 +658,26 @@ def is_completely_inverse(g: Groupoid) -> bool:
     return not isinstance(_find_inverse_map(g), str)
 
 
-def _ag_group_by_solutions(g: Groupoid) -> bool:
-    # left identity present and every xa = b uniquely solvable for x,
-    # i.e. every column of the table is a permutation
-    if not left_identities(g):
-        return False
-    n = g.order
-    return all(
-        len({g.table[x][a] for x in g.elements}) == n for a in g.elements
+def _ag_group_by_solutions(table) -> bool:
+    # every xa = b uniquely solvable for x, i.e. every column of the
+    # table is a permutation, and a left identity present
+    n = len(table)
+    return all(len(set(column)) == n for column in zip(*table)) and bool(
+        _left_identities_of(table)
     )
 
 
 def is_ag_group(g: Groupoid) -> bool:
     """Left invertive with every xa = b uniquely solvable and a left identity."""
-    # the O(n^2) column test first: most tables fail it
-    return _ag_group_by_solutions(g) and is_left_invertive(g)
+    return _is_ag_group_table(g.table)
+
+
+def _is_ag_group_table(table) -> bool:
+    # is_ag_group on a bare table; the O(n^2) column test first: most
+    # tables fail it
+    return _ag_group_by_solutions(table) and _compiled_identity(*LEFT_INVERTIVE)(
+        table, _element_range(len(table))
+    )
 
 
 def _ag_group_by_inverses(g: Groupoid) -> bool:
@@ -701,19 +732,18 @@ def classify(g: Groupoid) -> ClassificationReport:
         is_inverse_ag_star_star=inverse_ag_ss,
         is_completely_inverse=inverse_ag_ss and is_completely_inverse(g),
         is_ag_group=is_ag_group(g),
-        is_e_unitary=_is_e_unitary(g),
+        is_e_unitary=_is_e_unitary(g.table),
     )
 
 
-def _is_e_unitary(g: Groupoid) -> bool:
+def _is_e_unitary(table) -> bool:
     # ea idempotent for some idempotent e forces a idempotent; with no
     # idempotents at all the condition is vacuous
-    ids = set(idempotents(g))
-    for a in g.elements:
-        if a in ids:
-            continue
-        if any(g.table[e][a] in ids for e in ids):
-            return False
+    ids = set(_idempotents_of(table))
+    for e in ids:
+        for a, ea in enumerate(table[e]):
+            if ea in ids and a not in ids:
+                return False
     return True
 
 

@@ -371,7 +371,7 @@ def _(ctx, g):
 def _(ctx, g):
     if not _magma.left_identities(g):
         return None
-    by_solutions = _magma._ag_group_by_solutions(g)
+    by_solutions = _magma._ag_group_by_solutions(g.table)
     by_inverses = _magma._ag_group_by_inverses(g)
     if by_solutions != by_inverses:
         return _bad(g, "the two group characterizations disagree")
@@ -795,7 +795,7 @@ def _(ctx, g):
     )
     if left != right:
         return _bad(g, "one-sided absorption")
-    if left != _magma._is_e_unitary(g):
+    if left != _magma._is_e_unitary(g.table):
         return _bad(g, "absorption disagrees with the unitary test")
     return None
 
@@ -910,7 +910,7 @@ def _(ctx, g):
     tau = _canonical.max_idempotent_pure(g)
     ids = frozenset(idempotents(g))
     conditions = (
-        _magma._is_e_unitary(g),
+        _magma._is_e_unitary(g.table),
         _congruences.kernel(sigma) == ids,
         sigma.rel == tau.rel,
         sigma.rel.meet(mu.rel) == EquivRelation.identity(g.order),
@@ -1068,7 +1068,7 @@ def _(ctx, g):
         report.index_of(_canonical.trace_min(c).rel) in pure_indices
         for c in report.congruences
     )
-    unitary = _magma._is_e_unitary(g)
+    unitary = _magma._is_e_unitary(g.table)
     if not (unitary == meets == pure):
         return _bad(g, f"battery splits: {(unitary, meets, pure)}")
     return None
@@ -1081,7 +1081,7 @@ def _(ctx, g):
     "completely-inverse",
 )
 def _(ctx, g):
-    if not _magma._is_e_unitary(g):
+    if not _magma._is_e_unitary(g.table):
         return None
     report = ctx.lattice(g)
     sigma = _canonical.least_ag_group_congruence(g)
@@ -1637,7 +1637,7 @@ def _(ctx, g):
     pure = _marked(report, "idempotent_pure")
     unitary = set(_marked(report, "e_unitary"))
     conditions = (
-        _magma._is_e_unitary(g),
+        _magma._is_e_unitary(g.table),
         sigma.rel == tau.rel,
         all(i in unitary for i in pure),
         any(i in unitary for i in pure),
@@ -1656,7 +1656,7 @@ def _(ctx, g):
 )
 def _(ctx, g):
     tau = _canonical.max_idempotent_pure(g)
-    both = _magma._is_e_unitary(g) and tau.rel == EquivRelation.identity(g.order)
+    both = _magma._is_e_unitary(g.table) and tau.rel == EquivRelation.identity(g.order)
     if both != _magma.is_ag_group(g):
         return _bad(g, "characterization fails")
     return None

@@ -37,7 +37,7 @@ from aggroupoids.errors import (
     NotARefinement,
     ParseError,
 )
-from aggroupoids.lattice import LatticeReport
+from aggroupoids.lattice import LatticeReport, iter_partitions
 from aggroupoids.magma import Groupoid
 from aggroupoids.samples import chain_semilattice, inverse_monoid4
 
@@ -195,6 +195,17 @@ def test_partition_text_round_trip(rel):
     names = tuple(f"x{i}" for i in range(rel.order))
     text = format_partition(rel, names)
     assert parse_partition(text, names) == rel
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blocks_and_partition_text_of_every_partition(n):
+    # blocks() reads its blocks in first-seen order: least members ascending
+    names = tuple(f"x{i}" for i in range(n))
+    for rel in iter_partitions(n):
+        assert rel.blocks() == tuple(
+            sorted(tuple(x for x in range(n) if rel.related(x, b)) for b in set(rel.block_of))
+        )
+        assert parse_partition(format_partition(rel, names), names) == rel
 
 
 def test_parse_partition_rejects_bad_text(f1):

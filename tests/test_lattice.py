@@ -32,6 +32,7 @@ from aggroupoids.lattice import (
 )
 from aggroupoids.magma import Groupoid, parse_mag
 from aggroupoids.samples import chain_semilattice
+from test_lattice_reference import _composed_tables
 
 
 def test_congruences_of_the_running_example(f1_report):
@@ -292,6 +293,44 @@ def test_report_format_is_stable(f1_report):
     assert text.startswith("congruences:\n  0: a | b | e | f\n")
     assert "meet:" in text and "join:" in text and "markers:" in text
     assert text == format_lattice_report(f1_report)
+
+
+def _printed_sections(text):
+    """Each section of a lattice report, by header, as its lines."""
+    sections = {}
+    for line in text.splitlines():
+        if line.startswith("  "):
+            sections[header].append(line)
+        else:
+            header = line.removesuffix(":")
+            sections[header] = []
+    return sections
+
+
+def _universe(name):
+    if name == "null-6":
+        return [Groupoid.from_function(tuple(f"x{i}" for i in range(6)), lambda a, b: 0)]
+    if name == "chain-6":
+        return [chain_semilattice(6)]
+    return _composed_tables()
+
+
+@pytest.mark.parametrize("universe", ["null-6", "chain-6", "composed"])
+def test_printed_meet_and_join_tables_read_the_report(universe):
+    for g in _universe(universe):
+        report = all_congruences(g)
+        indices = range(len(report.congruences))
+        if universe == "null-6":
+            # every partition is a congruence: Bell(6) of them
+            assert len(indices) == 203
+        sections = _printed_sections(format_lattice_report(report))
+        for name, entry, row in (
+            ("meet", report.meet, report.meet_row),
+            ("join", report.join, report.join_row),
+        ):
+            printed = [tuple(map(int, line.split())) for line in sections[name]]
+            assert printed == [tuple(entry(i, j) for j in indices) for i in indices]
+            assert [row(i) for i in indices] == printed
 
 
 def test_semilattice_congruences_are_all_partitions():

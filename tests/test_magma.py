@@ -201,6 +201,29 @@ def test_idempotents_and_identities(f1, f2):
         ag_group_left_identity(f1)
 
 
+def test_table_predicates_read_list_rows_as_tuple_rows():
+    # the public constructor accepts list rows; the predicates index rows
+    # and compare entries one by one, never a row with a tuple
+    census = [g for n in (1, 2, 3) for g in enumerate_groupoids(EnumerationSpec(n, "ag"))]
+    readings = []
+    for g in census:
+        listed = Groupoid(g.names, [list(row) for row in g.table])
+        reading = [
+            (f(g), f(listed))
+            for f in (
+                left_identities,
+                magma.is_ag_group,
+                magma.is_semilattice,
+                lambda h: magma._is_e_unitary(h.table),
+            )
+        ]
+        assert all(on_tuples == on_lists for on_tuples, on_lists in reading)
+        readings.append([on_tuples for on_tuples, _ in reading])
+    # every predicate both holds and fails somewhere in the census
+    for column in zip(*readings):
+        assert any(column) and not all(column)
+
+
 def test_inverses(f1):
     # every element of this table is its own unique inverse
     for a in f1.elements:
@@ -313,13 +336,21 @@ def test_the_inverse_map_names_the_law_that_fails(rows, message, verdict_first):
 def test_classify_scans_each_defining_law_once(monkeypatch, build, left_invertive_scans):
     g = build()
     scans = {magma.LEFT_INVERTIVE: 0, magma.SWAP_LAW: 0}
+    compiled = magma._compiled_identity
 
-    def counted(g, lhs, rhs):
-        if (lhs, rhs) in scans:
-            scans[lhs, rhs] += 1
-        return check_identity(g, lhs, rhs)
+    # every scan of a law, through check_identity or on a bare table,
+    # runs the check compiled from its terms
+    def counted(lhs, rhs):
+        check = compiled(lhs, rhs)
 
-    monkeypatch.setattr(magma, "check_identity", counted)
+        def scan(table, elements):
+            if (lhs, rhs) in scans:
+                scans[lhs, rhs] += 1
+            return check(table, elements)
+
+        return scan
+
+    monkeypatch.setattr(magma, "_compiled_identity", counted)
     report = classify(g)
     assert report.is_ag_star_star and report.is_completely_inverse
     assert scans == {magma.LEFT_INVERTIVE: left_invertive_scans, magma.SWAP_LAW: 1}
