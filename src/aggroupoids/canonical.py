@@ -124,7 +124,7 @@ def canonical_suite(g: Groupoid) -> CanonicalSuite:
     mu = max_idempotent_separating(g)
     sigma = least_ag_group_congruence(g)
     tau = max_idempotent_pure(g)
-    return CanonicalSuite(mu, sigma, tau, congruence_meet(sigma, mu))
+    return CanonicalSuite(mu, sigma, tau, least_e_unitary(g))
 
 
 @_kept("_trace_max")
@@ -192,6 +192,6 @@ def e_unitary_closure(rho: Congruence) -> Congruence:
 def e_unitary_factorization(rho: Congruence) -> tuple[Congruence, Congruence]:
     """Split an E-unitary congruence into its unique AG-group and
     semilattice factors; their meet gives rho back."""
-    if not _is_e_unitary(quotient(rho).groupoid.table):
+    if not _is_e_unitary(quotient(rho).table):
         raise NotEUnitary("the quotient by this congruence is not E-unitary")
     return ag_group_closure(rho), semilattice_closure(rho)

@@ -4,7 +4,9 @@ Relations use canonical minimal-representative block ids, so relation
 equality is plain structural equality. Kernels and traces follow the
 completely inverse theory: a congruence there is determined by the set
 of elements its idempotent classes cover plus its restriction to the
-idempotents, and both directions of that correspondence live here.
+idempotents, and both directions of that correspondence live here. A
+quotient is a plain Groupoid on the blocks, each named after its least
+member, so x goes to the element named g.names[rel.block_of[x]].
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "EquivRelation",
     "Congruence",
     "CongruencePair",
-    "Quotient",
     "parse_partition",
     "format_partition",
     "is_congruence",
@@ -461,34 +462,6 @@ def from_kernel_trace(g: Groupoid, pair: CongruencePair) -> Congruence:
     return _kernel_trace_congruence(g, pair)
 
 
-@dataclass(frozen=True)
-class Quotient:
-    """The groupoid on the blocks plus the element-to-block projection.
-
-    Each block is named after its least member, blocks in ascending
-    order of least member, so the names are distinct whatever the
-    carrier's names are; the quotient by the identity is the carrier
-    itself."""
-
-    groupoid: Groupoid
-    projection: tuple[int, ...]
-
-
-def _quotient_by(
-    g: Groupoid, block_of: Sequence[int]
-) -> tuple[Groupoid, tuple[int, ...]]:
-    """The quotient by a compatible partition, built without validation,
-    and the index of each element's block (see _quotient_table). The
-    quotient by the identity partition is g itself, with the facts g
-    keeps."""
-    index = _block_index(block_of)
-    if len(index) == len(block_of):
-        return g, tuple(block_of)
-    return Groupoid._trusted(
-        tuple(g.names[b] for b in index), _quotient_table(g.table, block_of, index)
-    ), tuple(index[b] for b in block_of)
-
-
 def _block_index(block_of: Sequence[int]) -> dict[int, int]:
     """The index of each block by ascending least member, keyed by that
     least member, in ascending order."""
@@ -503,10 +476,20 @@ def _quotient_table(table, block_of: Sequence[int], index: dict[int, int]):
 
 
 @_kept("_quotient")
-def quotient(c: Congruence) -> Quotient:
-    """The groupoid on blocks, well defined by compatibility, named by
-    least members (see Quotient); kept on c."""
-    return Quotient(*_quotient_by(c.groupoid, c.rel.block_of))
+def quotient(c: Congruence) -> Groupoid:
+    """The groupoid on the blocks, well defined by compatibility, built
+    without validation; kept on c. Each block is named after its least
+    member, blocks in ascending order of least member, so the names are
+    distinct whatever the carrier's names are and x lies in the block
+    q.index(g.names[c.rel.block_of[x]]). The quotient by the identity is
+    the carrier itself, with the facts it keeps."""
+    g, block_of = c.groupoid, c.rel.block_of
+    index = _block_index(block_of)
+    if len(index) == len(block_of):
+        return g
+    return Groupoid._trusted(
+        tuple([g.names[b] for b in index]), _quotient_table(g.table, block_of, index)
+    )
 
 
 def _require_same_groupoid(c1: Congruence, c2: Congruence) -> None:
@@ -517,14 +500,13 @@ def _require_same_groupoid(c1: Congruence, c2: Congruence) -> None:
 def induced_congruence(upsilon: Congruence, rho: Congruence) -> Congruence:
     """Push a coarser congruence down to the quotient by a finer one;
     the image is compatible because upsilon is (thm-quotient-mu-lifts
-    catches an image that is not). The image lives on quotient(rho), its
-    blocks named by their least members."""
+    catches an image that is not). The image lives on quotient(rho),
+    whose elements are the least members of rho's blocks."""
     _require_same_groupoid(upsilon, rho)
     if not rho.rel.leq(upsilon.rel):
         raise NotARefinement("the quotient congruence does not refine the other")
-    # the least members of rho's blocks, ascending, are the quotient's elements
     return Congruence._trusted(
-        quotient(rho).groupoid, upsilon.rel.restrict(set(rho.rel.block_of))
+        quotient(rho), upsilon.rel.restrict(_block_index(rho.rel.block_of))
     )
 
 

@@ -15,7 +15,6 @@ __all__ = [
     "NotCommutativeInverseSemigroup",
     "NotNormal",
     "NotASublattice",
-    "OrderTooLarge",
     "BoundExceeded",
 ]
 
@@ -96,10 +95,7 @@ class NotASublattice(AlgebraError):
     """The subset is not closed under the report's meet and join."""
 
 
-class OrderTooLarge(AlgebraError):
-    """Exhaustive congruence enumeration is capped to keep runs predictable."""
-
-
 class BoundExceeded(AlgebraError):
     """The order is above the fixed bound for its class and strategy
-    (table enumeration) or for the theorem battery."""
+    (table enumeration), for the theorem battery, or for the exhaustive
+    congruence scan."""

@@ -31,8 +31,8 @@ closed forms of the least semilattice, AG-group and E-unitary
 congruences against them, and a marker read as "lies above the closed
 form" would make those checks restate themselves. All markers are read
 from the label tuples, the laws on the bare quotient table over the
-blocks' least members (`congruences._quotient_table`): no quotient
-carrier, projection or names are built, and each law runs the same
+blocks' least members (`congruences._quotient_table`), not on the
+`Groupoid` that `congruences.quotient` keeps, and each law runs the same
 table-level body as its `magma` predicate.
 """
 
@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
-from .errors import AlgebraError, NotASublattice, OrderTooLarge
+from .errors import AlgebraError, BoundExceeded, NotASublattice
 from .magma import (
     Groupoid,
     _Keeps,
@@ -206,16 +206,18 @@ def iter_partitions(n: int) -> Iterator[EquivRelation]:
 def _markers_for(
     table,
     block_of: tuple[int, ...],
-    ids: tuple[int, ...],
+    num_ids: int,
+    id_blocks: set[int],
     fundamental: bool | None,
     e_disjunctive: bool | None,
 ) -> CongruenceMarkers:
-    id_blocks = {block_of[e] for e in ids}
+    """The markers of one congruence; id_blocks holds the labels of the
+    blocks that contain an idempotent."""
     q = _quotient_table(table, block_of, _block_index(block_of))
     return CongruenceMarkers(
-        idempotent_separating=len(id_blocks) == len(ids),
+        idempotent_separating=len(id_blocks) == num_ids,
         # the blocks of the idempotents hold no other element
-        idempotent_pure=sum(map(id_blocks.__contains__, block_of)) == len(ids),
+        idempotent_pure=sum(map(id_blocks.__contains__, block_of)) == num_ids,
         semilattice=_is_semilattice_table(q),
         ag_group=_is_ag_group_table(q),
         e_unitary=_is_e_unitary(q),
@@ -231,12 +233,6 @@ def _class_tops(up: Sequence[int], keys: Sequence) -> list[bool]:
     for i, key in enumerate(keys):
         same[key] = same.get(key, 0) | 1 << i
     return [(up[i] & same[key]) == 1 << i for i, key in enumerate(keys)]
-
-
-def _kernel_key(block_of: tuple[int, ...], ids: tuple[int, ...]) -> tuple[bool, ...]:
-    """Whether each element lies in the block of an idempotent."""
-    id_blocks = {block_of[e] for e in ids}
-    return tuple(b in id_blocks for b in block_of)
 
 
 def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
@@ -272,7 +268,9 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     of its kernel class; both classes are intervals, so these markers
     are read off the index masks too, keyed by the labels of the
     idempotents (the trace) and by which elements share a block with an
-    idempotent (the kernel). The semilattice, ag-group and e-unitary
+    idempotent (the kernel). The set of the blocks holding an idempotent
+    is built once per congruence; it gives the kernel key and the
+    separating and pure markers. The semilattice, ag-group and e-unitary
     markers test their laws on the bare quotient table over the blocks'
     least members, with the table-level bodies of `is_semilattice`,
     `is_ag_group` and `_is_e_unitary`, so that the battery checks
@@ -282,7 +280,7 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
     quotient carrier is built for them.
     """
     if g.order > bound:
-        raise OrderTooLarge(
+        raise BoundExceeded(
             f"order {g.order} exceeds the exhaustive-enumeration bound {bound}"
         )
     table = g.table
@@ -310,16 +308,22 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
             else:
                 down[i] &= outside
     ids = idempotents(g)
+    id_blocks = [{block_of[e] for e in ids} for block_of in labels]
     if is_completely_inverse(g):
         fundamental = _class_tops(
             up, [_canonical_labels(block_of[e] for e in ids) for block_of in labels]
         )
-        e_disjunctive = _class_tops(up, [_kernel_key(block_of, ids) for block_of in labels])
+        # the kernel: whether each element lies in the block of an idempotent
+        kernels = [
+            tuple(map(blocks.__contains__, block_of))
+            for block_of, blocks in zip(labels, id_blocks)
+        ]
+        e_disjunctive = _class_tops(up, kernels)
     else:
         fundamental = e_disjunctive = [None] * len(congruences)
     markers = tuple(
-        _markers_for(table, block_of, ids, f, e)
-        for block_of, f, e in zip(labels, fundamental, e_disjunctive)
+        _markers_for(table, block_of, len(ids), blocks, f, e)
+        for block_of, blocks, f, e in zip(labels, id_blocks, fundamental, e_disjunctive)
     )
     return LatticeReport(g, congruences, markers, tuple(up), tuple(down))
 

@@ -262,10 +262,6 @@ def _central_idempotents(g):
     return all(g.mul(e, a) == g.mul(a, e) for e in idempotents(g) for a in g.elements)
 
 
-def _quotient_of(report, i):
-    return _congruences.quotient(report.congruences[i]).groupoid
-
-
 def _sandwich(outer, inner):
     """The related pairs of outer o inner o outer."""
     around = _lattice._ordered_pairs(outer)
@@ -298,7 +294,7 @@ def _join_preserves(g, report, i, j, c):
 def _class_mirror(ctx, g, report, members, bottom, marker, name, target):
     """None when the class members map onto the congruences marked
     `marker` in the quotient by bottom, as an order isomorphism."""
-    mirror = ctx.lattice(_congruences.quotient(bottom).groupoid)
+    mirror = ctx.lattice(_congruences.quotient(bottom))
     marked = set(_marked(mirror, marker))
     images = [
         mirror.index_of(
@@ -481,13 +477,13 @@ def _(ctx, g):
     if len(ids) != mu.rel.num_blocks:
         return _bad(g, "component count differs from idempotent count")
     q = _congruences.quotient(mu)
-    e_of_block = {q.projection[e]: e for e in ids}
+    block = {e: q.index(g.names[mu.rel.block_of[e]]) for e in ids}
+    e_of_block = {b: e for e, b in block.items()}
     if len(e_of_block) != len(ids):
         return _bad(g, "two idempotents share a component")
     for x in ids:
         for y in ids:
-            image = q.groupoid.mul(q.projection[x], q.projection[y])
-            if g.mul(x, y) != e_of_block[image]:
+            if g.mul(x, y) != e_of_block[q.mul(block[x], block[y])]:
                 return _bad(g, "idempotent table differs from the component table")
     return None
 
@@ -851,7 +847,7 @@ def _(ctx, g):
     modular, witness = _lattice.is_modular_sublattice(report, sorted(groups))
     if not modular:
         return _bad(g, f"pentagon {witness} among group congruences")
-    mirror = ctx.lattice(_congruences.quotient(sigma).groupoid)
+    mirror = ctx.lattice(_congruences.quotient(sigma))
     if len(mirror.congruences) != len(groups):
         return _bad(g, "quotient lattice size disagrees")
     return None
@@ -1111,7 +1107,7 @@ def _(ctx, g):
 )
 def _(ctx, g, report, i):
     c = report.congruences[i]
-    expected = _canonical.max_idempotent_separating(_quotient_of(report, i))
+    expected = _canonical.max_idempotent_separating(_congruences.quotient(c))
     pushed = _congruences.induced_congruence(_canonical.trace_max(c), c)
     if pushed.rel != expected.rel:
         return _bad(g, f"component congruence of the quotient by {c.partition_text()} differs")
@@ -1162,7 +1158,7 @@ def _(ctx, g, report, i):
 )
 def _(ctx, g, report, i):
     c = report.congruences[i]
-    q = _quotient_of(report, i)
+    q = _congruences.quotient(c)
     fundamental = _canonical.max_idempotent_separating(q).rel == EquivRelation.identity(
         q.order
     )
@@ -1312,7 +1308,7 @@ def _(ctx, g, report, i):
 )
 def _(ctx, g, report, i):
     c = report.congruences[i]
-    expected = _canonical.max_idempotent_pure(_quotient_of(report, i))
+    expected = _canonical.max_idempotent_pure(_congruences.quotient(c))
     pushed = _congruences.induced_congruence(_canonical.kernel_max(c), c)
     if pushed.rel != expected.rel:
         return _bad(g, f"pure congruence of the quotient by {c.partition_text()} differs")
@@ -1345,7 +1341,7 @@ def _(ctx, g, report, i):
 )
 def _(ctx, g, report, i):
     c = report.congruences[i]
-    q = _quotient_of(report, i)
+    q = _congruences.quotient(c)
     disjunctive = _canonical.max_idempotent_pure(q).rel == EquivRelation.identity(
         q.order
     )
@@ -1476,9 +1472,7 @@ def _(ctx, g, report, i):
     if _congruences.kernel(low) != _congruences.kernel(c):
         return _bad(g, "first factor moved the kernel")
     pushed = _congruences.induced_congruence(c, low)
-    mirror_pure = _canonical.max_idempotent_pure(
-        _congruences.quotient(low).groupoid
-    )
+    mirror_pure = _canonical.max_idempotent_pure(_congruences.quotient(low))
     if not pushed.rel.leq(mirror_pure.rel):
         return _bad(g, "second factor is not pure")
     return None

@@ -204,7 +204,7 @@ def test_lattice_commands_accept_any_valid_names(tmp_path_factory, g):
     # universal one on it
     top = Congruence(g, EquivRelation.universal(g.order))
     for c in report.congruences:
-        q = quotient(c).groupoid
+        q = quotient(c)
         induced = induced_congruence(top, c)
         assert induced.groupoid is q and q.order == c.rel.num_blocks
         assert induced.rel == EquivRelation.universal(q.order)

@@ -20,9 +20,9 @@ from aggroupoids import (
 from aggroupoids.congruences import EquivRelation, _canonical_labels
 from aggroupoids.errors import (
     AlgebraError,
+    BoundExceeded,
     NotASublattice,
     NotCompletelyInverse,
-    OrderTooLarge,
 )
 from aggroupoids.lattice import (
     LatticeReport,
@@ -266,7 +266,7 @@ def test_iter_partitions_rejects_an_empty_carrier(n):
 def test_all_congruences_respects_the_bound():
     table = tuple(tuple(min(i, j) for j in range(7)) for i in range(7))
     g = Groupoid(tuple(f"x{i}" for i in range(7)), table)
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(BoundExceeded):
         all_congruences(g)
     report = all_congruences(g, bound=7)
     assert len(report.congruences) > 1

@@ -62,7 +62,7 @@ def _reference_markers(c, completely_inverse):
         for block in c.rel.blocks()
         if set(block) & id_set
     )
-    q = quotient(c).groupoid
+    q = quotient(c)
     report = classify(q)
     semilattice = report.is_commutative and report.is_associative and is_idempotent_table(q)
     fundamental = None
