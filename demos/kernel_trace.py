@@ -1,20 +1,22 @@
 """Show that a congruence is its kernel plus its trace, nothing more.
 
-Each congruence of the running example is split into the pair (kernel,
-trace) and rebuilt from it. The script then prints the images of the six
-bounding operators for a generated congruence, the coordinates every
-other congruence with the same kernel or trace must sit between.
+Each congruence of the running example is read as its kernel and its
+trace, and rebuilt from those two values. The script then prints the
+images of the six bounding operators for a generated congruence, the
+coordinates every other congruence with the same kernel or trace must
+sit between.
 """
 
 from aggroupoids import (
     all_congruences,
     congruence_generated_by,
-    congruence_pair_of,
     format_partition,
     from_kernel_trace,
     idempotents,
+    kernel,
     kernel_max,
     kernel_min,
+    trace,
     trace_max,
     trace_min,
 )
@@ -28,11 +30,11 @@ def main():
 
     print("kernel-trace coordinates")
     for c in report.congruences:
-        pair = congruence_pair_of(c)
-        names = sorted(g.names[i] for i in pair.kernel)
-        rebuilt = from_kernel_trace(g, pair)
+        K, tau = kernel(c), trace(c)
+        names = sorted(g.names[i] for i in K)
+        rebuilt = from_kernel_trace(g, K, tau)
         assert rebuilt.rel == c.rel
-        trace_text = format_partition(pair.trace, id_names)
+        trace_text = format_partition(tau, id_names)
         print(
             f"  {c.partition_text():<14} "
             f"kernel {{{' '.join(names)}}}  trace {trace_text}"

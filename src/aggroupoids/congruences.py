@@ -4,7 +4,8 @@ Relations use canonical minimal-representative block ids, so relation
 equality is plain structural equality. Kernels and traces follow the
 completely inverse theory: a congruence there is determined by the set
 of elements its idempotent classes cover plus its restriction to the
-idempotents, and both directions of that correspondence live here. A
+idempotents. `kernel` and `trace` read those two values off a
+congruence, and `from_kernel_trace` rebuilds the congruence from them. A
 quotient is a plain Groupoid on the blocks, each named after its least
 member, so x goes to the element named g.names[rel.block_of[x]].
 """
@@ -38,14 +39,12 @@ from .magma import (
 __all__ = [
     "EquivRelation",
     "Congruence",
-    "CongruencePair",
     "parse_partition",
     "format_partition",
     "is_congruence",
     "congruence_generated_by",
     "kernel",
     "trace",
-    "congruence_pair_of",
     "is_congruence_pair",
     "from_kernel_trace",
     "quotient",
@@ -120,8 +119,9 @@ class EquivRelation:
             return x
 
         for a, b in pairs:
-            if not (0 <= a < order and 0 <= b < order):
-                raise AlgebraError(f"element {b if 0 <= a < order else a} out of range")
+            for x in (a, b):
+                if not (isinstance(x, int) and 0 <= x < order):
+                    raise AlgebraError(f"element {x} out of range")
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
@@ -369,18 +369,6 @@ def trace(c: Congruence) -> EquivRelation:
     return c.rel.restrict(ids)
 
 
-@dataclass(frozen=True)
-class CongruencePair:
-    """Kernel candidate plus a trace relation indexed over sorted idempotents."""
-
-    kernel: frozenset
-    trace: EquivRelation
-
-
-def congruence_pair_of(c: Congruence) -> CongruencePair:
-    return CongruencePair(kernel(c), trace(c))
-
-
 def _kernel_violation(g: Groupoid, inverse, members) -> str | None:
     """First failed kernel property of a subset, in a fixed order:
     nonempty subset, subgroupoid, inverse-closed, full, symmetric."""
@@ -404,22 +392,21 @@ def _kernel_violation(g: Groupoid, inverse, members) -> str | None:
     return None
 
 
-def _pair_violation(g: Groupoid, pair: CongruencePair) -> str | None:
+def _pair_violation(g: Groupoid, K: frozenset, tau: EquivRelation) -> str | None:
     """First violated pair condition, or None. Assumes g completely inverse."""
     inverse = require_completely_inverse(g)
-    K = pair.kernel
     violation = _kernel_violation(g, inverse, K)
     if violation is not None:
         return "kernel is " + violation
     ids = idempotents(g)
-    if pair.trace.order != len(ids):
+    if tau.order != len(ids):
         return "trace is not a relation on the idempotents"
-    if not is_congruence(idempotent_semilattice(g), pair.trace):
+    if not is_congruence(idempotent_semilattice(g), tau):
         return "trace is not a congruence on the idempotent semilattice"
     index_of = {e: i for i, e in enumerate(ids)}
     for e in ids:
         for a in g.elements:
-            if g.table[e][a] in K and pair.trace.related(
+            if g.table[e][a] in K and tau.related(
                 index_of[e], index_of[g.table[a][inverse[a]]]
             ):
                 if a not in K:
@@ -432,10 +419,13 @@ def _pair_violation(g: Groupoid, pair: CongruencePair) -> str | None:
 
 
 def is_congruence_pair(g: Groupoid, K: Iterable[int], tau: EquivRelation) -> bool:
-    return _pair_violation(g, CongruencePair(frozenset(K), tau)) is None
+    """Whether K and tau, a relation on the sorted idempotents, are the
+    kernel and trace of a congruence on g; raises NotCompletelyInverse
+    when g is not completely inverse."""
+    return _pair_violation(g, frozenset(K), tau) is None
 
 
-def _kernel_trace_congruence(g: Groupoid, pair: CongruencePair) -> Congruence:
+def _kernel_trace_congruence(g: Groupoid, K: frozenset, tau: EquivRelation) -> Congruence:
     """The congruence of a pair by the paper's rule: a ~ b iff the traces
     of a*a^-1 and b*b^-1 match and a*b^-1 lies in the kernel. Each b is
     labelled by the least related a <= b. The caller has checked the pair
@@ -447,19 +437,21 @@ def _kernel_trace_congruence(g: Groupoid, pair: CongruencePair) -> Congruence:
     def related(a, b):
         ea = index_of[g.table[a][inverse[a]]]
         eb = index_of[g.table[b][inverse[b]]]
-        return pair.trace.related(ea, eb) and g.table[a][inverse[b]] in pair.kernel
+        return tau.related(ea, eb) and g.table[a][inverse[b]] in K
 
     labels = tuple(next((a for a in range(b) if related(a, b)), b) for b in g.elements)
     return Congruence._trusted(g, EquivRelation(g.order, labels))
 
 
-def from_kernel_trace(g: Groupoid, pair: CongruencePair) -> Congruence:
-    """Rebuild the unique congruence with the given kernel and trace,
-    after validating the pair conditions."""
-    violation = _pair_violation(g, pair)
+def from_kernel_trace(g: Groupoid, K: Iterable[int], tau: EquivRelation) -> Congruence:
+    """Rebuild the unique congruence with kernel K and trace tau, after
+    validating the pair conditions; raises InvalidCongruencePair when
+    they fail and NotCompletelyInverse when g is not completely inverse."""
+    K = frozenset(K)
+    violation = _pair_violation(g, K, tau)
     if violation is not None:
         raise InvalidCongruencePair(violation)
-    return _kernel_trace_congruence(g, pair)
+    return _kernel_trace_congruence(g, K, tau)
 
 
 def _block_index(block_of: Sequence[int]) -> dict[int, int]:

@@ -758,7 +758,7 @@ def ag_group_left_identity(g: Groupoid) -> int:
 def _require_elements(g: Groupoid, members: Iterable[int]) -> None:
     """Raise AlgebraError naming a member that is no element of g."""
     for a in members:
-        if not 0 <= a < g.order:
+        if not (isinstance(a, int) and 0 <= a < g.order):
             raise AlgebraError(f"element {a} out of range")
 
 

@@ -38,7 +38,6 @@ from .magma import (
 )
 from .congruences import (
     Congruence,
-    CongruencePair,
     EquivRelation,
     _kernel_trace_congruence,
     _kernel_violation,
@@ -293,7 +292,7 @@ def congruence_of_normal(g: Groupoid, subset: Iterable[int]) -> Congruence:
         raise NotNormal(violation)
     # with the universal trace the kernel-trace rule is a * b^-1 in N
     universal = EquivRelation.universal(len(idempotents(g)))
-    return _kernel_trace_congruence(g, CongruencePair(members, universal))
+    return _kernel_trace_congruence(g, members, universal)
 
 
 def format_strong_semilattice(s: StrongSemilattice) -> str:

@@ -699,8 +699,9 @@ def _(ctx, g):
 )
 def _(ctx, g, report, i):
     c = report.congruences[i]
-    pair = _congruences.congruence_pair_of(c)
-    rebuilt = _congruences.from_kernel_trace(g, pair)
+    rebuilt = _congruences.from_kernel_trace(
+        g, _congruences.kernel(c), _congruences.trace(c)
+    )
     if rebuilt.rel != c.rel:
         return _bad(g, f"reconstruction changed {c.partition_text()}")
     return None
@@ -748,9 +749,7 @@ def _(ctx, g):
     inv = _magma.require_completely_inverse(g)
     index_of = {e: k for k, e in enumerate(ids)}
     for kernel_part, tau in valid:
-        built = _congruences.from_kernel_trace(
-            g, _congruences.CongruencePair(kernel_part, tau)
-        )
+        built = _congruences.from_kernel_trace(g, kernel_part, tau)
         if not _relates_exactly(
             g,
             built,
@@ -993,9 +992,7 @@ def _(ctx, g, report, i):
     k = _congruences.kernel(c)
     if not _structure.is_normal(g, k):
         return _bad(g, "unitary kernel is not normal")
-    rebuilt = _congruences.from_kernel_trace(
-        g, _congruences.CongruencePair(k, _congruences.trace(c))
-    )
+    rebuilt = _congruences.from_kernel_trace(g, k, _congruences.trace(c))
     if rebuilt.rel != c.rel:
         return _bad(g, "kernel-trace expression is not unique")
     return None

@@ -20,7 +20,6 @@ from aggroupoids import (
     classify,
     compose,
     congruence_generated_by,
-    congruence_pair_of,
     decompose,
     enumerate_groupoids,
     from_kernel_trace,
@@ -126,7 +125,7 @@ def test_criterion_2_kernel_trace_reconstruction(capsys):
         report = all_congruences(g)
         size = len(report.congruences)
         for c in report.congruences:
-            if from_kernel_trace(g, congruence_pair_of(c)).rel != c.rel:
+            if from_kernel_trace(g, kernel(c), trace(c)).rel != c.rel:
                 problems.append(f"reconstruction misses {c.partition_text()}")
         kernels = [kernel(c) for c in report.congruences]
         traces = [trace(c) for c in report.congruences]

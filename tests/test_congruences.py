@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from aggroupoids import (
     Congruence,
-    CongruencePair,
     EquivRelation,
     all_congruences,
     congruence_generated_by,
     congruence_join,
     congruence_meet,
-    congruence_pair_of,
     format_partition,
     from_kernel_trace,
     induced_congruence,
@@ -35,6 +33,7 @@ from aggroupoids.errors import (
     KernelMismatch,
     NotACongruence,
     NotARefinement,
+    NotCompletelyInverse,
     ParseError,
 )
 from aggroupoids.lattice import LatticeReport, iter_partitions
@@ -149,9 +148,10 @@ def test_meet_join_are_lattice_operations(rels):
         assert p.join(q).leq(r)
 
 
-@pytest.mark.parametrize("element", [-1, 4])
+@pytest.mark.parametrize("element", [-1, 4, "a", 1.5])
 def test_from_pairs_rejects_elements_outside_the_carrier(element):
-    # -1 must not wrap round to element 3, nor 4 escape as an IndexError
+    # -1 must not wrap round to element 3, nor 4 escape as an IndexError,
+    # nor a non-integer as a TypeError
     with pytest.raises(AlgebraError, match=f"element {element} out of range"):
         EquivRelation.from_pairs(4, [(element, 0)])
     with pytest.raises(AlgebraError, match=f"element {element} out of range"):
@@ -296,28 +296,40 @@ def test_traces_on_the_running_example(f1_report):
 
 def test_kernel_trace_round_trip(f1, f1_report):
     for c in f1_report.congruences:
-        pair = congruence_pair_of(c)
-        assert isinstance(pair, CongruencePair)
-        rebuilt = from_kernel_trace(f1, pair)
+        rebuilt = from_kernel_trace(f1, kernel(c), trace(c))
         assert rebuilt.rel == c.rel
 
 
-def test_exactly_the_valid_pairs_reconstruct(f1):
-    import itertools
+def _rebuilt_or_refusal(g, K, tau):
+    """The rebuilt relation, or the message of the refusal."""
+    try:
+        return from_kernel_trace(g, K, tau).rel
+    except InvalidCongruencePair as exc:
+        return str(exc)
 
+
+def test_exactly_the_valid_pairs_reconstruct(f1):
     valid = 0
     for size in range(1, 5):
         for subset in itertools.combinations(range(4), size):
             for tau in (EquivRelation.identity(2), EquivRelation.universal(2)):
-                if is_congruence_pair(f1, subset, tau):
-                    valid += 1
-                    from_kernel_trace(f1, CongruencePair(frozenset(subset), tau))
-                else:
-                    with pytest.raises(InvalidCongruencePair):
-                        from_kernel_trace(
-                            f1, CongruencePair(frozenset(subset), tau)
-                        )
+                # a list, tuple or frozenset kernel gives the same outcome
+                outcomes = {
+                    _rebuilt_or_refusal(f1, kind(subset), tau)
+                    for kind in (list, tuple, frozenset)
+                }
+                assert len(outcomes) == 1
+                rebuilt = isinstance(outcomes.pop(), EquivRelation)
+                assert is_congruence_pair(f1, subset, tau) == rebuilt
+                valid += rebuilt
     assert valid == 5
+
+
+@pytest.mark.parametrize("check", [is_congruence_pair, from_kernel_trace])
+def test_kernel_trace_pairs_reject_non_completely_inverse(check):
+    band = Groupoid.from_rows(["l", "r"], [["l", "l"], ["r", "r"]])
+    with pytest.raises(NotCompletelyInverse):
+        check(band, [0, 1], EquivRelation.identity(2))
 
 
 def test_quotient_of_the_running_example(f1, f1_report):

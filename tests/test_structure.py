@@ -151,7 +151,7 @@ def test_upward_closure(f1):
     assert upward_closure(f1, {2, 3}) == frozenset({2, 3})
 
 
-@pytest.mark.parametrize("outside", [-1, 4])
+@pytest.mark.parametrize("outside", [-1, 4, "a", 1.5])
 def test_upward_closure_rejects_elements_outside_the_carrier(f1, outside):
     with pytest.raises(AlgebraError, match=f"^element {outside} out of range"):
         upward_closure(f1, [outside])

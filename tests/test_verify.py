@@ -264,7 +264,7 @@ def _own_inverses(g):
         (
             congruences,
             "from_kernel_trace",
-            lambda g, pair: Congruence(g, EquivRelation.universal(g.order)),
+            lambda g, K, tau: Congruence(g, EquivRelation.universal(g.order)),
             "thm-congruence-pair-bijection",
             "the kernel-trace rule is not an equivalence",
         ),
