@@ -129,19 +129,18 @@ class EquivRelation:
 
     @classmethod
     def from_blocks(cls, order: int, blocks: Iterable[Iterable[int]]) -> "EquivRelation":
-        block_of = [-1] * order
-        for block in blocks:
+        block_at = [-1] * order
+        for k, block in enumerate(blocks):
             members = list(block)
             if not members:
                 raise AlgebraError("empty block")
-            least = min(members)
             for x in members:
-                if not 0 <= x < order or block_of[x] != -1:
+                if not (isinstance(x, int) and 0 <= x < order) or block_at[x] != -1:
                     raise AlgebraError(f"element {x} repeated or out of range")
-                block_of[x] = least
-        if -1 in block_of:
+                block_at[x] = k
+        if -1 in block_at:
             raise AlgebraError("blocks do not cover the carrier")
-        return cls(order, tuple(block_of))
+        return cls.from_keys(block_at)
 
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]

@@ -329,10 +329,11 @@ def all_congruences(g: Groupoid, bound: int = 6) -> LatticeReport:
 
 
 def _require_sublattice(report: LatticeReport, subset: Sequence[int]) -> tuple[int, ...]:
-    members = tuple(sorted(set(subset)))
-    for i in members:
-        if i not in range(len(report.congruences)):
+    subset = tuple(subset)
+    for i in subset:
+        if not (isinstance(i, int) and 0 <= i < len(report.congruences)):
             raise NotASublattice(f"index {i} names no congruence of this lattice")
+    members = tuple(sorted(set(subset)))
     inside = set(members)
     for i in members:
         for j in members:
@@ -438,7 +439,7 @@ def trace_homomorphism(g: Groupoid) -> TraceHomomorphism:
 
 
 def _congruence_at(report: LatticeReport, index: int) -> Congruence:
-    if index not in range(len(report.congruences)):
+    if not (isinstance(index, int) and 0 <= index < len(report.congruences)):
         raise AlgebraError(f"index {index} names no congruence of this lattice")
     return report.congruences[index]
 

@@ -764,10 +764,11 @@ def _require_elements(g: Groupoid, members: Iterable[int]) -> None:
 
 def subgroupoid(g: Groupoid, subset: Iterable[int]) -> Groupoid:
     """Restrict to a subset closed under the product, keeping labels."""
-    members = sorted(set(subset))
+    members = list(subset)
+    _require_elements(g, members)
+    members = sorted(set(members))
     if not members:
         raise AlgebraError("a subgroupoid needs at least one element")
-    _require_elements(g, members)
     position = {a: k for k, a in enumerate(members)}
     table = []
     for a in members:

@@ -95,7 +95,7 @@ class StrongSemilattice(_Keeps):
             raise InvalidStructure("maps", "maps must cover exactly the comparable index pairs")
         for i, j, images in self.maps:
             if len(images) != self.components[i].order or not all(
-                0 <= v < self.components[j].order for v in images
+                isinstance(v, int) and 0 <= v < self.components[j].order for v in images
             ):
                 raise InvalidStructure("maps", f"map {i} -> {j} has the wrong shape")
 

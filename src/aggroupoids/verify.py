@@ -8,8 +8,10 @@ in the interchange format, so each counterexample replays directly.
 Each check names one universe, a key of `_UNIVERSES`, which maps it to
 the check's instances: carriers, (carrier, report, index) triples over
 their congruences, subsets, or orders. The check body tests a single
-instance and returns an error message or None; `_check` wires the body
-to its universe, so no check iterates its own instances.
+instance and returns its finding or None; `_check` wires the body to
+its universe, and `_each` attaches the carrier's table to a returned or
+raised finding, so no check iterates its own instances or formats its
+own counterexample.
 
 Checks resolve the canonical operators through their modules at call
 time; swapping one out (to validate the suite itself) makes the
@@ -167,17 +169,13 @@ _UNIVERSES = {
 }
 
 
-def _bad(g, message):
-    return f"{message}\n{format_mag(g).rstrip()}"
-
-
 def _each(items, fn):
-    """Run fn over items; fn returns an error message or None.
+    """Run fn over items; fn returns its finding or None.
 
     An item is a carrier g, a tuple (g, ...) of fn's arguments, or an
-    order. A body that raises fails the check at that instance, with g
-    attached when there is one, so its detail replays like any other
-    counterexample.
+    order. A returned finding and a raised one both fail the check at
+    that instance, and both get g's table attached when there is one, so
+    every detail replays as a counterexample.
     """
     count = 0
     for item in items:
@@ -187,16 +185,15 @@ def _each(items, fn):
             message = fn(*args)
         except Exception as exc:
             message = f"{type(exc).__name__}: {exc}"
-            if isinstance(args[0], Groupoid):
-                message = _bad(args[0], message)
-            return False, count, message
         if message is not None:
+            if isinstance(args[0], Groupoid):
+                message = f"{message}\n{format_mag(args[0]).rstrip()}"
             return False, count, message
     return True, count, ""
 
 
 def _check(check_id, statement, universe):
-    """Register body(ctx, *instance) -> message | None over the universe."""
+    """Register body(ctx, *instance) -> finding | None over the universe."""
     instances = _UNIVERSES[universe]
 
     def wrap(body):
@@ -277,21 +274,21 @@ def _saturates(rel, members):
     return all((x in inside) == (b in inside) for x, b in enumerate(rel.block_of))
 
 
-def _join_preserves(g, report, i, j, c):
+def _join_preserves(report, i, j, c):
     """None when joining with c preserves the meet and join of i and j."""
     s = report.index_of(c.rel)
     if report.join(report.meet(i, j), s) != report.meet(
         report.join(i, s), report.join(j, s)
     ):
-        return _bad(g, "meet is not preserved")
+        return "meet is not preserved"
     if report.join(report.join(i, j), s) != report.join(
         report.join(i, s), report.join(j, s)
     ):
-        return _bad(g, "join is not preserved")
+        return "join is not preserved"
     return None
 
 
-def _class_mirror(ctx, g, report, members, bottom, marker, name, target):
+def _class_mirror(ctx, report, members, bottom, marker, name, target):
     """None when the class members map onto the congruences marked
     `marker` in the quotient by bottom, as an order isomorphism."""
     mirror = ctx.lattice(_congruences.quotient(bottom))
@@ -303,11 +300,11 @@ def _class_mirror(ctx, g, report, members, bottom, marker, name, target):
         for j in members
     ]
     if set(images) != marked or len(images) != len(marked):
-        return _bad(g, f"{name} class does not mirror {target}")
+        return f"{name} class does not mirror {target}"
     for a, j in zip(images, members):
         for b, k in zip(images, members):
             if report.leq(j, k) != mirror.leq(a, b):
-                return _bad(g, f"{name} class mirror is not an order isomorphism")
+                return f"{name} class mirror is not an order isomorphism"
     return None
 
 
@@ -320,7 +317,7 @@ def _class_mirror(ctx, g, report, members, bottom, marker, name, target):
     "ag",
 )
 def _(ctx, g):
-    return None if _magma.is_medial(g) else _bad(g, "medial law fails")
+    return None if _magma.is_medial(g) else "medial law fails"
 
 
 @_check(
@@ -329,7 +326,7 @@ def _(ctx, g):
     "ag-star-star",
 )
 def _(ctx, g):
-    return None if _magma.is_paramedial(g) else _bad(g, "paramedial law fails")
+    return None if _magma.is_paramedial(g) else "paramedial law fails"
 
 
 @_check(
@@ -339,7 +336,7 @@ def _(ctx, g):
 )
 def _(ctx, g):
     if _magma.left_identities(g) and not _magma.is_ag_star_star(g):
-        return _bad(g, "left identity without the second law")
+        return "left identity without the second law"
     return None
 
 
@@ -354,7 +351,7 @@ def _(ctx, g):
         return None
     sub = _magma.idempotent_semilattice(g)
     if not _magma.is_semilattice(sub):
-        return _bad(g, "idempotent part is not a semilattice")
+        return "idempotent part is not a semilattice"
     return None
 
 
@@ -370,13 +367,13 @@ def _(ctx, g):
     by_solutions = _magma._ag_group_by_solutions(g.table)
     by_inverses = _magma._ag_group_by_inverses(g)
     if by_solutions != by_inverses:
-        return _bad(g, "the two group characterizations disagree")
+        return "the two group characterizations disagree"
     if by_solutions:
         e = _magma.ag_group_left_identity(g)
         if idempotents(g) != (e,):
-            return _bad(g, "group table with more than one idempotent")
+            return "group table with more than one idempotent"
         if _magma.left_identities(g) != (e,):
-            return _bad(g, "group table with more than one left identity")
+            return "group table with more than one left identity"
     return None
 
 
@@ -387,7 +384,7 @@ def _(ctx, g):
 )
 def _(ctx, g):
     if len(idempotents(g)) == 1 and not _magma.is_ag_group(g):
-        return _bad(g, "single idempotent but not a group")
+        return "single idempotent but not a group"
     return None
 
 
@@ -408,9 +405,9 @@ def _(ctx, g, report, i):
         a for a in g.elements if c.related(a, g.mul(a, a))
     )
     if by_class != by_square:
-        return _bad(g, f"kernel readings disagree on {c.partition_text()}")
+        return f"kernel readings disagree on {c.partition_text()}"
     if _congruences.kernel(c) != by_class:
-        return _bad(g, "kernel helper disagrees with both readings")
+        return "kernel helper disagrees with both readings"
     return None
 
 
@@ -427,7 +424,7 @@ def _(ctx, g):
     mu = _canonical.max_idempotent_separating(g)
     report = ctx.lattice(g)
     if not _is_greatest(report, "idempotent_separating", mu.rel):
-        return _bad(g, "computed relation is not the greatest separating one")
+        return "computed relation is not the greatest separating one"
     # the greatest marked congruence carries the marker, so mu separates idempotents
     return None
 
@@ -443,10 +440,9 @@ def _(ctx, g):
     if not _is_least(report, "semilattice", mu.rel):
         least = _least_of(report, _marked(report, "semilattice"))
         found = report.congruences[least].partition_text() if least is not None else "none"
-        return _bad(
-            g,
+        return (
             "computed relation disagrees with the scan: "
-            f"got {mu.partition_text()}, least semilattice congruence is {found}",
+            f"got {mu.partition_text()}, least semilattice congruence is {found}"
         )
     return None
 
@@ -461,7 +457,7 @@ def _(ctx, g):
     for block in mu.rel.blocks():
         part = _magma.subgroupoid(g, block)
         if not _magma.is_ag_group(part):
-            return _bad(g, f"class {block} is not a group")
+            return f"class {block} is not a group"
     return None
 
 
@@ -475,16 +471,16 @@ def _(ctx, g):
     mu = _canonical.max_idempotent_separating(g)
     ids = idempotents(g)
     if len(ids) != mu.rel.num_blocks:
-        return _bad(g, "component count differs from idempotent count")
+        return "component count differs from idempotent count"
     q = _congruences.quotient(mu)
     block = {e: q.index(g.names[mu.rel.block_of[e]]) for e in ids}
     e_of_block = {b: e for e, b in block.items()}
     if len(e_of_block) != len(ids):
-        return _bad(g, "two idempotents share a component")
+        return "two idempotents share a component"
     for x in ids:
         for y in ids:
             if g.mul(x, y) != e_of_block[q.mul(block[x], block[y])]:
-                return _bad(g, "idempotent table differs from the component table")
+                return "idempotent table differs from the component table"
     return None
 
 
@@ -499,9 +495,9 @@ def _(ctx, g):
     separating = _marked(report, "idempotent_separating")
     modular, witness = _lattice.is_modular_sublattice(report, separating)
     if not modular:
-        return _bad(g, f"pentagon {witness} inside the separating interval")
+        return f"pentagon {witness} inside the separating interval"
     if not _lattice.commuting_check(report, separating):
-        return _bad(g, "separating congruences do not commute")
+        return "separating congruences do not commute"
     return None
 
 
@@ -515,9 +511,9 @@ def _(ctx, g):
     whole = range(len(report.congruences))
     modular, witness = _lattice.is_modular_sublattice(report, whole)
     if not modular:
-        return _bad(g, f"pentagon {witness} in a group congruence lattice")
+        return f"pentagon {witness} in a group congruence lattice"
     if not _lattice.satisfies_modular_law(report, whole):
-        return _bad(g, "pentagon-free, yet the modular law fails")
+        return "pentagon-free, yet the modular law fails"
     return None
 
 
@@ -536,12 +532,12 @@ def _(ctx, g):
         s = _structure.decompose(g)
     except NotCompletelyInverse:
         if complete:
-            return _bad(g, "decomposition rejected a completely inverse table")
+            return "decomposition rejected a completely inverse table"
         return None
     if not complete:
-        return _bad(g, "decomposition accepted a non completely inverse table")
+        return "decomposition accepted a non completely inverse table"
     if not _magma.same_operation(g, _structure.compose(s)):
-        return _bad(g, "round trip changed the operation")
+        return "round trip changed the operation"
     return None
 
 
@@ -555,7 +551,7 @@ def _(ctx, g):
     if not _central_idempotents(g):
         return None
     if not (_magma.is_commutative(g) and _magma.is_associative(g)):
-        return _bad(g, "central idempotents but not a commutative semigroup")
+        return "central idempotents but not a commutative semigroup"
     return None
 
 
@@ -570,7 +566,7 @@ def _(ctx, g):
         g.mul(a, g.mul(inv[a], a)) == a for a in g.elements
     )
     if _central_idempotents(g) != pointwise:
-        return _bad(g, "centrality criterion fails")
+        return "centrality criterion fails"
     return None
 
 
@@ -583,13 +579,13 @@ def _(ctx, g):
 def _(ctx, g):
     part = _structure.square_part(g)
     if not (_magma.is_commutative(part) and _magma.is_associative(part)):
-        return _bad(g, "squares are not a commutative semigroup")
+        return "squares are not a commutative semigroup"
     if set(idempotents(part)) != {
         part.index(g.names[e]) for e in idempotents(g)
     }:
-        return _bad(g, "squares lost or gained idempotents")
+        return "squares lost or gained idempotents"
     if not _magma.is_completely_inverse(part):
-        return _bad(g, "squares are not completely inverse")
+        return "squares are not completely inverse"
     # part is commutative, so its idempotents are central
     return None
 
@@ -604,11 +600,11 @@ def _(ctx, g):
 def _(ctx, g):
     derived = _structure.derived_groupoid(g)
     if not _magma.is_completely_inverse(derived):
-        return _bad(g, "twisted table is not completely inverse")
+        return "twisted table is not completely inverse"
     if idempotents(derived) != idempotents(g):
-        return _bad(g, "twisting changed the idempotents")
+        return "twisting changed the idempotents"
     if any(inverses_of(derived, a) != (a,) for a in derived.elements):
-        return _bad(g, "twisted elements are not self-inverse")
+        return "twisted elements are not self-inverse"
     return None
 
 
@@ -625,19 +621,19 @@ def _(ctx, g):
     inv = _magma.require_completely_inverse(g)
     order = _structure.natural_order(g)
     if not all(order.leq(a, a) for a in g.elements):
-        return _bad(g, "the order is not reflexive")
+        return "the order is not reflexive"
     for a, b in order.pairs:
         if a != b and order.leq(b, a):
-            return _bad(g, "the order is not antisymmetric")
+            return "the order is not antisymmetric"
         if (inv[a], inv[b]) not in order.pairs:
-            return _bad(g, "inversion breaks the order")
+            return "inversion breaks the order"
         for c in g.elements:
             if order.leq(b, c) and not order.leq(a, c):
-                return _bad(g, "the order is not transitive")
+                return "the order is not transitive"
             if not order.leq(g.mul(a, c), g.mul(b, c)):
-                return _bad(g, "right multiplication breaks the order")
+                return "right multiplication breaks the order"
             if not order.leq(g.mul(c, a), g.mul(c, b)):
-                return _bad(g, "left multiplication breaks the order")
+                return "left multiplication breaks the order"
     return None
 
 
@@ -651,7 +647,7 @@ def _(ctx, g):
     order = _structure.natural_order(g)
     for a, b in order.pairs:
         if a != b and mu.related(a, b):
-            return _bad(g, f"order is not trivial on the component of {g.names[a]}")
+            return f"order is not trivial on the component of {g.names[a]}"
     return None
 
 
@@ -664,14 +660,14 @@ def _(ctx, g):
 def _(ctx, g, order, subset):
     up = _structure.upward_closure(g, subset)
     if up != {a for a in g.elements if any(order.leq(b, a) for b in subset)}:
-        return _bad(g, "closure disagrees with the natural order")
+        return "closure disagrees with the natural order"
     if not all(g.mul(a, b) in up for a in up for b in up):
-        return _bad(g, "closure is not a subgroupoid")
+        return "closure is not a subgroupoid"
     part = _magma.subgroupoid(g, sorted(up))
     if not _magma.is_completely_inverse(part):
-        return _bad(g, "closure is not completely inverse")
+        return "closure is not completely inverse"
     if _structure.upward_closure(g, up) != up:
-        return _bad(g, "closure is not closed")
+        return "closure is not closed"
     return None
 
 
@@ -685,7 +681,7 @@ def _(ctx, g):
     for a in g.elements:
         for b in g.elements:
             if g.mul(a, b) in ids and g.mul(a, b) != g.mul(b, a):
-                return _bad(g, f"{g.names[a]} {g.names[b]} commutation fails")
+                return f"{g.names[a]} {g.names[b]} commutation fails"
     return None
 
 
@@ -703,7 +699,7 @@ def _(ctx, g, report, i):
         g, _congruences.kernel(c), _congruences.trace(c)
     )
     if rebuilt.rel != c.rel:
-        return _bad(g, f"reconstruction changed {c.partition_text()}")
+        return f"reconstruction changed {c.partition_text()}"
     return None
 
 
@@ -720,10 +716,7 @@ def _(ctx, g, report, i, j):
         _congruences.trace(rho).leq(_congruences.trace(gamma))
     )
     if direct != transferred:
-        return _bad(
-            g,
-            f"transfer fails for {rho.partition_text()} vs {gamma.partition_text()}",
-        )
+        return f"transfer fails for {rho.partition_text()} vs {gamma.partition_text()}"
     return None
 
 
@@ -742,10 +735,7 @@ def _(ctx, g):
                 if _congruences.is_congruence_pair(g, subset, tau):
                     valid.append((frozenset(subset), tau))
     if len(valid) != len(report.congruences):
-        return _bad(
-            g,
-            f"{len(valid)} valid pairs against {len(report.congruences)} congruences",
-        )
+        return f"{len(valid)} valid pairs against {len(report.congruences)} congruences"
     inv = _magma.require_completely_inverse(g)
     index_of = {e: k for k, e in enumerate(ids)}
     for kernel_part, tau in valid:
@@ -756,11 +746,11 @@ def _(ctx, g):
             lambda a, b: g.mul(a, inv[b]) in kernel_part
             and tau.related(index_of[g.mul(a, inv[a])], index_of[g.mul(b, inv[b])]),
         ):
-            return _bad(g, "the kernel-trace rule is not an equivalence")
+            return "the kernel-trace rule is not an equivalence"
         if _congruences.kernel(built) != kernel_part:
-            return _bad(g, "reconstruction moved the kernel")
+            return "reconstruction moved the kernel"
         if _congruences.trace(built) != tau:
-            return _bad(g, "reconstruction moved the trace")
+            return "reconstruction moved the trace"
     return None
 
 
@@ -789,9 +779,9 @@ def _(ctx, g):
         if g.mul(a, e) in ids
     )
     if left != right:
-        return _bad(g, "one-sided absorption")
+        return "one-sided absorption"
     if left != _magma._is_e_unitary(g.table):
-        return _bad(g, "absorption disagrees with the unitary test")
+        return "absorption disagrees with the unitary test"
     return None
 
 
@@ -805,13 +795,13 @@ def _(ctx, g):
 def _(ctx, g):
     sigma = _canonical.least_ag_group_congruence(g)
     if not _is_least(ctx.lattice(g), "ag_group", sigma.rel):
-        return _bad(g, "scan finds a different least group congruence")
+        return "scan finds a different least group congruence"
     closure = _structure.upward_closure(g, idempotents(g))
     if _congruences.kernel(sigma) != closure:
-        return _bad(g, "kernel is not the closure of the idempotents")
+        return "kernel is not the closure of the idempotents"
     inv = _magma.require_completely_inverse(g)
     if not _relates_exactly(g, sigma, lambda a, b: g.mul(a, inv[b]) in closure):
-        return _bad(g, "quotient-by-inverse criterion fails")
+        return "quotient-by-inverse criterion fails"
     return None
 
 
@@ -826,7 +816,7 @@ def _(ctx, g, report, i):
         return None
     sigma = _canonical.least_ag_group_congruence(g)
     if not report.congruences[i].rel.leq(sigma.rel):
-        return _bad(g, "pure congruence escapes the group congruence")
+        return "pure congruence escapes the group congruence"
     return None
 
 
@@ -842,13 +832,13 @@ def _(ctx, g):
     sigma = _canonical.least_ag_group_congruence(g)
     s = report.index_of(sigma.rel)
     if groups != {j for j in range(len(report.congruences)) if report.leq(s, j)}:
-        return _bad(g, "group congruences are not the upper interval")
+        return "group congruences are not the upper interval"
     modular, witness = _lattice.is_modular_sublattice(report, sorted(groups))
     if not modular:
-        return _bad(g, f"pentagon {witness} among group congruences")
+        return f"pentagon {witness} among group congruences"
     mirror = ctx.lattice(_congruences.quotient(sigma))
     if len(mirror.congruences) != len(groups):
-        return _bad(g, "quotient lattice size disagrees")
+        return "quotient lattice size disagrees"
     return None
 
 
@@ -863,20 +853,20 @@ def _(ctx, g):
     normals = _lattice.normal_subgroupoids(g)
     groups = _marked(report, "ag_group")
     if len(normals) != len(groups):
-        return _bad(g, "counts disagree")
+        return "counts disagree"
     for n in normals:
         rho_n = _structure.congruence_of_normal(g, n)
         if _congruences.kernel(rho_n) != n:
-            return _bad(g, "kernel moved")
+            return "kernel moved"
         if report.index_of(rho_n.rel) not in groups:
-            return _bad(g, "image is not a group congruence")
+            return "image is not a group congruence"
     for i in groups:
         k = _congruences.kernel(report.congruences[i])
         if k not in normals:
-            return _bad(g, "a group congruence has a non-normal kernel")
+            return "a group congruence has a non-normal kernel"
         back = _structure.congruence_of_normal(g, k)
         if back.rel != report.congruences[i].rel:
-            return _bad(g, "round trip changed the congruence")
+            return "round trip changed the congruence"
     for n in normals:
         for m in normals:
             joint = _structure.congruence_of_normal(g, n & m)
@@ -884,7 +874,7 @@ def _(ctx, g):
                 _structure.congruence_of_normal(g, m).rel
             )
             if joint.rel != direct:
-                return _bad(g, "meets do not correspond")
+                return "meets do not correspond"
     return None
 
 
@@ -915,7 +905,7 @@ def _(ctx, g):
         ),
     )
     if len(set(conditions)) != 1:
-        return _bad(g, f"battery splits: {conditions}")
+        return f"battery splits: {conditions}"
     return None
 
 
@@ -930,7 +920,7 @@ def _(ctx, g, report, i, j):
         return None
     met = report.meet(i, j)
     if not report.markers[met].e_unitary:
-        return _bad(g, "meet fails to be unitary")
+        return "meet fails to be unitary"
     return None
 
 
@@ -943,7 +933,7 @@ def _(ctx, g, report, i, j):
 def _(ctx, g):
     pi = _canonical.least_e_unitary(g)
     if not _is_least(ctx.lattice(g), "e_unitary", pi.rel):
-        return _bad(g, "scan finds a different least unitary congruence")
+        return "scan finds a different least unitary congruence"
     return None
 
 
@@ -957,11 +947,11 @@ def _(ctx, g):
     report = ctx.lattice(g)
     unitary = set(_marked(report, "e_unitary"))
     if report.top not in unitary:
-        return _bad(g, "universal congruence is not unitary")
+        return "universal congruence is not unitary"
     for i in unitary:
         for j in unitary:
             if report.meet(i, j) not in unitary:
-                return _bad(g, "meet escapes the unitary family")
+                return "meet escapes the unitary family"
     return None
 
 
@@ -975,7 +965,7 @@ def _(ctx, g, report, i):
     k = _congruences.kernel(report.congruences[i])
     closed = _structure.upward_closure(g, k) == k
     if closed != report.markers[i].e_unitary:
-        return _bad(g, "kernel closure disagrees with unitarity")
+        return "kernel closure disagrees with unitarity"
     return None
 
 
@@ -991,10 +981,10 @@ def _(ctx, g, report, i):
     c = report.congruences[i]
     k = _congruences.kernel(c)
     if not _structure.is_normal(g, k):
-        return _bad(g, "unitary kernel is not normal")
+        return "unitary kernel is not normal"
     rebuilt = _congruences.from_kernel_trace(g, k, _congruences.trace(c))
     if rebuilt.rel != c.rel:
-        return _bad(g, "kernel-trace expression is not unique")
+        return "kernel-trace expression is not unique"
     return None
 
 
@@ -1010,9 +1000,9 @@ def _(ctx, g, report, i):
 def _(ctx, g):
     hom = _lattice.trace_homomorphism(g)
     if set(hom.image) != set(range(len(hom.target.congruences))):
-        return _bad(g, "trace map is not onto")
+        return "trace map is not onto"
     if any(hom.image[s] != t for t, s in enumerate(hom.section)):
-        return _bad(g, "the lifted relations are not a section of the trace map")
+        return "the lifted relations are not a section of the trace map"
     return None
 
 
@@ -1024,9 +1014,9 @@ def _(ctx, g):
 def _(ctx, g, report, i, j):
     tr = lambda k: _congruences.trace(report.congruences[k])
     if tr(report.meet(i, j)) != tr(i).meet(tr(j)):
-        return _bad(g, "trace misses the meet")
+        return "trace misses the meet"
     if tr(report.join(i, j)) != tr(i).join(tr(j)):
-        return _bad(g, "trace misses the join")
+        return "trace misses the join"
     return None
 
 
@@ -1039,7 +1029,7 @@ def _(ctx, g, report, i, j):
 def _(ctx, g):
     top = _congruences.Congruence(g, EquivRelation.universal(g.order))
     if _canonical.trace_min(top).rel != _canonical.least_ag_group_congruence(g).rel:
-        return _bad(g, "trace-least universal congruence differs")
+        return "trace-least universal congruence differs"
     return None
 
 
@@ -1063,7 +1053,7 @@ def _(ctx, g):
     )
     unitary = _magma._is_e_unitary(g.table)
     if not (unitary == meets == pure):
-        return _bad(g, f"battery splits: {(unitary, meets, pure)}")
+        return f"battery splits: {(unitary, meets, pure)}"
     return None
 
 
@@ -1082,17 +1072,17 @@ def _(ctx, g):
     pure = set(_marked(report, "idempotent_pure"))
     image = {report.meet(i, s) for i in range(len(report.congruences))}
     if image != pure:
-        return _bad(g, "projection misses the pure congruences")
+        return "projection misses the pure congruences"
     for i in range(len(report.congruences)):
         for j in range(len(report.congruences)):
             if report.meet(report.meet(i, j), s) != report.meet(
                 report.meet(i, s), report.meet(j, s)
             ):
-                return _bad(g, "projection misses a meet")
+                return "projection misses a meet"
             if report.meet(report.join(i, j), s) != report.join(
                 report.meet(i, s), report.meet(j, s)
             ):
-                return _bad(g, "projection misses a join")
+                return "projection misses a join"
     return None
 
 
@@ -1107,7 +1097,7 @@ def _(ctx, g, report, i):
     expected = _canonical.max_idempotent_separating(_congruences.quotient(c))
     pushed = _congruences.induced_congruence(_canonical.trace_max(c), c)
     if pushed.rel != expected.rel:
-        return _bad(g, f"component congruence of the quotient by {c.partition_text()} differs")
+        return f"component congruence of the quotient by {c.partition_text()} differs"
     return None
 
 
@@ -1123,11 +1113,11 @@ def _(ctx, g, report, i):
     low = report.index_of(_canonical.trace_min(c).rel)
     high = report.index_of(_canonical.trace_max(c).rel)
     if members != _between(report, low, high):
-        return _bad(g, "trace class is not the interval between its extreme forms")
+        return "trace class is not the interval between its extreme forms"
     if not _lattice.is_modular_sublattice(report, members)[0]:
-        return _bad(g, "trace class is not modular")
+        return "trace class is not modular"
     if not _lattice.commuting_check(report, members):
-        return _bad(g, "trace class does not commute")
+        return "trace class does not commute"
     bottom = report.congruences[low]
     inv = _magma.require_completely_inverse(g)
     ids = idempotents(g)
@@ -1139,9 +1129,9 @@ def _(ctx, g, report, i):
         )
 
     if not _relates_exactly(g, bottom, rule):
-        return _bad(g, "the trace-least rule is not an equivalence")
+        return "the trace-least rule is not an equivalence"
     return _class_mirror(
-        ctx, g, report, members, bottom,
+        ctx, report, members, bottom,
         "idempotent_separating", "trace", "the separating interval",
     )
 
@@ -1161,9 +1151,9 @@ def _(ctx, g, report, i):
     )
     fixed = _canonical.trace_max(c).rel == c.rel
     if fundamental != fixed:
-        return _bad(g, "fixed point test disagrees")
+        return "fixed point test disagrees"
     if report.markers[i].fundamental != fixed:
-        return _bad(g, f"fundamental marker disagrees on {c.partition_text()}")
+        return f"fundamental marker disagrees on {c.partition_text()}"
     return None
 
 
@@ -1178,36 +1168,36 @@ def _(ctx, g):
     fundamental = set(_lattice.fundamental_congruences(report))
     mu = report.index_of(_canonical.max_idempotent_separating(g).rel)
     if _least_of(report, sorted(fundamental)) != mu:
-        return _bad(g, "least fixed point is not the component congruence")
+        return "least fixed point is not the component congruence"
     if report.top not in fundamental:
-        return _bad(g, "universal congruence is not a fixed point")
+        return "universal congruence is not a fixed point"
     target = ctx.lattice(_magma.idempotent_semilattice(g))
     image = {
         i: target.index_of(_congruences.trace(report.congruences[i]))
         for i in fundamental
     }
     if sorted(image.values()) != list(range(len(target.congruences))):
-        return _bad(g, "fixed points do not mirror the idempotent lattice")
+        return "fixed points do not mirror the idempotent lattice"
     for i in fundamental:
         for j in fundamental:
             if report.leq(i, j) != target.leq(image[i], image[j]):
-                return _bad(g, "the trace map on fixed points is not an order isomorphism")
+                return "the trace map on fixed points is not an order isomorphism"
     for i in fundamental:
         for j in fundamental:
             if report.meet(i, j) not in fundamental:
-                return _bad(g, "fixed points are not meet-closed")
+                return "fixed points are not meet-closed"
             lifted = report.index_of(
                 _canonical.trace_max(report.congruences[report.join(i, j)]).rel
             )
             if lifted not in fundamental:
-                return _bad(g, "operator join leaves the fixed points")
+                return "operator join leaves the fixed points"
             above = [
                 k
                 for k in fundamental
                 if report.leq(report.join(i, j), k)
             ]
             if _least_of(report, above) != lifted:
-                return _bad(g, "operator join is not the least fixed point above")
+                return "operator join is not the least fixed point above"
     return None
 
 
@@ -1223,10 +1213,10 @@ def _(ctx, g):
 def _(ctx, g, report, subset):
     syntactic = _congruences.syntactic_congruence(g, subset)
     if not _saturates(syntactic.rel, subset):
-        return _bad(g, "syntactic congruence splits the subset")
+        return "syntactic congruence splits the subset"
     for c in report.congruences:
         if _saturates(c.rel, subset) and not c.rel.leq(syntactic.rel):
-            return _bad(g, f"{c.partition_text()} saturates but is not below")
+            return f"{c.partition_text()} saturates but is not below"
     return None
 
 
@@ -1239,7 +1229,7 @@ def _(ctx, g, report, subset):
 def _(ctx, g):
     tau = _canonical.max_idempotent_pure(g)
     if not _is_greatest(ctx.lattice(g), "idempotent_pure", tau.rel):
-        return _bad(g, "scan finds a different largest pure congruence")
+        return "scan finds a different largest pure congruence"
     return None
 
 
@@ -1255,12 +1245,12 @@ def _(ctx, g, report, i):
     low = report.index_of(_canonical.kernel_min(c).rel)
     high = report.index_of(_canonical.kernel_max(c).rel)
     if members != set(_between(report, low, high)):
-        return _bad(g, "kernel class is not the expected interval")
+        return "kernel class is not the expected interval"
     k = _congruences.kernel(c)
     if _congruences.kernel(report.congruences[low]) != k:
-        return _bad(g, "least member changed the kernel")
+        return "least member changed the kernel"
     if _congruences.kernel(report.congruences[high]) != k:
-        return _bad(g, "greatest member changed the kernel")
+        return "greatest member changed the kernel"
     return None
 
 
@@ -1279,7 +1269,7 @@ def _(ctx, g):
                 hj = _canonical.kernel_max(report.congruences[j])
                 if not hi.rel.leq(hj.rel):
                     return None
-    return _bad(g, "operator turned out to be monotone here")
+    return "operator turned out to be monotone here"
 
 
 @_check(
@@ -1293,7 +1283,7 @@ def _(ctx, g, report, i):
     low = _canonical.trace_min(c).rel.join(_canonical.kernel_min(c).rel)
     high = _canonical.trace_max(c).rel.meet(_canonical.kernel_max(c).rel)
     if low != c.rel or high != c.rel:
-        return _bad(g, f"decomposition misses {c.partition_text()}")
+        return f"decomposition misses {c.partition_text()}"
     return None
 
 
@@ -1308,7 +1298,7 @@ def _(ctx, g, report, i):
     expected = _canonical.max_idempotent_pure(_congruences.quotient(c))
     pushed = _congruences.induced_congruence(_canonical.kernel_max(c), c)
     if pushed.rel != expected.rel:
-        return _bad(g, f"pure congruence of the quotient by {c.partition_text()} differs")
+        return f"pure congruence of the quotient by {c.partition_text()} differs"
     return None
 
 
@@ -1324,7 +1314,7 @@ def _(ctx, g, report, i):
         report.index_of(_canonical.kernel_min(report.congruences[i]).rel)
     ]
     return _class_mirror(
-        ctx, g, report, members, bottom,
+        ctx, report, members, bottom,
         "idempotent_pure", "kernel", "the pure congruences",
     )
 
@@ -1344,9 +1334,9 @@ def _(ctx, g, report, i):
     )
     fixed = _canonical.kernel_max(c).rel == c.rel
     if disjunctive != fixed:
-        return _bad(g, "fixed point test disagrees")
+        return "fixed point test disagrees"
     if report.markers[i].e_disjunctive != fixed:
-        return _bad(g, f"e-disjunctive marker disagrees on {c.partition_text()}")
+        return f"e-disjunctive marker disagrees on {c.partition_text()}"
     return None
 
 
@@ -1363,17 +1353,17 @@ def _(ctx, g):
     )
     tau_rho = _canonical.kernel_max(rho)
     if _canonical.kernel_max(tau).rel != tau.rel:
-        return _bad(g, "first member is not a fixed point")
+        return "first member is not a fixed point"
     if tau_rho.rel != rho.rel:
-        return _bad(g, "second member is not a fixed point")
+        return "second member is not a fixed point"
     met = tau.rel.meet(tau_rho.rel)
     if met != EquivRelation.identity(g.order):
-        return _bad(g, "the meet is not the identity")
+        return "the meet is not the identity"
     fixed = _canonical.kernel_max(
         _congruences.Congruence(g, met)
     ).rel == met
     if fixed:
-        return _bad(g, "the meet stayed a fixed point")
+        return "the meet stayed a fixed point"
     return None
 
 
@@ -1393,17 +1383,17 @@ def _(ctx, g, report, i):
     join = c.rel.join(sigma.rel)
     closure = _canonical.ag_group_closure(c)
     if closure.rel != join:
-        return _bad(g, "closure differs from the join")
+        return "closure differs from the join"
     if _sandwich(sigma.rel, c.rel) != _lattice._ordered_pairs(join):
-        return _bad(g, "the join is not the two-sided sandwich")
+        return "the join is not the two-sided sandwich"
     ids = idempotents(g)
     if not _relates_exactly(
         g, join, lambda a, b: any(c.related(g.mul(e, a), g.mul(e, b)) for e in ids)
     ):
-        return _bad(g, "multiplier description fails")
+        return "multiplier description fails"
     expected = _structure.upward_closure(g, _congruences.kernel(c))
     if _congruences.kernel(closure) != expected:
-        return _bad(g, "kernel of the join is not the closure")
+        return "kernel of the join is not the closure"
     return None
 
 
@@ -1414,7 +1404,7 @@ def _(ctx, g, report, i):
     "completely-inverse x congruence pairs",
 )
 def _(ctx, g, report, i, j):
-    return _join_preserves(g, report, i, j, _canonical.least_ag_group_congruence(g))
+    return _join_preserves(report, i, j, _canonical.least_ag_group_congruence(g))
 
 
 @_check(
@@ -1429,11 +1419,11 @@ def _(ctx, g, report, i):
     closure = _canonical.e_unitary_closure(c)
     join = c.rel.join(sigma.rel)
     if not (c.rel.leq(closure.rel) and closure.rel.leq(join)):
-        return _bad(g, "closure breaks the chain")
+        return "closure breaks the chain"
     if not report.markers[report.index_of(closure.rel)].e_unitary:
-        return _bad(g, "closure is not unitary")
+        return "closure is not unitary"
     if closure.rel.join(sigma.rel) != join:
-        return _bad(g, "closure changed the group join")
+        return "closure changed the group join"
     return None
 
 
@@ -1448,9 +1438,9 @@ def _(ctx, g, report, i):
     c = report.congruences[i]
     low = _canonical.trace_min(c)
     if not low.rel.leq(_canonical.least_ag_group_congruence(g).rel):
-        return _bad(g, "first factor moves the group image")
+        return "first factor moves the group image"
     if not c.rel.leq(_canonical.trace_max(low).rel):
-        return _bad(g, "second factor is not separating")
+        return "second factor is not separating"
     return None
 
 
@@ -1465,13 +1455,13 @@ def _(ctx, g, report, i):
     c = report.congruences[i]
     low = _canonical.kernel_min(c)
     if not low.rel.leq(_canonical.max_idempotent_separating(g).rel):
-        return _bad(g, "first factor is not separating-bounded")
+        return "first factor is not separating-bounded"
     if _congruences.kernel(low) != _congruences.kernel(c):
-        return _bad(g, "first factor moved the kernel")
+        return "first factor moved the kernel"
     pushed = _congruences.induced_congruence(c, low)
     mirror_pure = _canonical.max_idempotent_pure(_congruences.quotient(low))
     if not pushed.rel.leq(mirror_pure.rel):
-        return _bad(g, "second factor is not pure")
+        return "second factor is not pure"
     return None
 
 
@@ -1497,9 +1487,7 @@ def _(ctx, g, report, i):
         report.markers[report.index_of(high.rel)].ag_group,
     )
     if len(set(conditions)) != 1:
-        return _bad(
-            g, f"battery splits on {c.partition_text()}: {conditions}"
-        )
+        return f"battery splits on {c.partition_text()}: {conditions}"
     return None
 
 
@@ -1513,21 +1501,21 @@ def _(ctx, g):
     report = ctx.lattice(g)
     members, families = _lattice.e_unitary_congruences(report)
     if {i for _, interval in families for i in interval} != set(members):
-        return _bad(g, "families do not cover the unitary congruences")
+        return "families do not cover the unitary congruences"
     for n, interval in families:
         rho_n = _structure.congruence_of_normal(g, n)
         mu = _canonical.max_idempotent_separating(g)
         low = rho_n.rel.meet(mu.rel)
         high = report.index_of(rho_n.rel)
         if interval != _between(report, report.index_of(low), high):
-            return _bad(g, f"family of {sorted(n)} is not the full interval")
+            return f"family of {sorted(n)} is not the full interval"
         by_kernel = tuple(
             i
             for i in members
             if _congruences.kernel(_canonical.ag_group_closure(report.congruences[i])) == n
         )
         if interval != by_kernel:
-            return _bad(g, f"family of {sorted(n)} is not its group-closure kernel class")
+            return f"family of {sorted(n)} is not its group-closure kernel class"
     return None
 
 
@@ -1542,14 +1530,14 @@ def _(ctx, g, report, i):
     mu = _canonical.max_idempotent_separating(g)
     join = c.rel.join(mu.rel)
     if _canonical.semilattice_closure(c).rel != join:
-        return _bad(g, "closure differs from the join")
+        return "closure differs from the join"
     if _sandwich(mu.rel, c.rel) != _lattice._ordered_pairs(join):
-        return _bad(g, "the join is not the two-sided sandwich")
+        return "the join is not the two-sided sandwich"
     inv = _magma.require_completely_inverse(g)
     if not _relates_exactly(
         g, join, lambda a, b: c.related(g.mul(a, inv[a]), g.mul(b, inv[b]))
     ):
-        return _bad(g, "square description fails")
+        return "square description fails"
     return None
 
 
@@ -1565,15 +1553,15 @@ def _(ctx, g, report, i):
     mu = _canonical.max_idempotent_separating(g)
     sandwich = c.rel.join(sigma.rel).meet(c.rel.join(mu.rel))
     if _canonical.e_unitary_closure(c).rel != sandwich:
-        return _bad(g, f"sandwich misses the closure of {c.partition_text()}")
+        return f"sandwich misses the closure of {c.partition_text()}"
     if report.markers[i].e_unitary:
         group_part, semilattice_part = _canonical.e_unitary_factorization(c)
         if group_part.rel.meet(semilattice_part.rel) != c.rel:
-            return _bad(g, f"factors of {c.partition_text()} do not meet in it")
+            return f"factors of {c.partition_text()} do not meet in it"
         if not report.markers[report.index_of(group_part.rel)].ag_group:
-            return _bad(g, "group factor has no group quotient")
+            return "group factor has no group quotient"
         if not report.markers[report.index_of(semilattice_part.rel)].semilattice:
-            return _bad(g, "semilattice factor has no semilattice quotient")
+            return "semilattice factor has no semilattice quotient"
     return None
 
 
@@ -1584,7 +1572,7 @@ def _(ctx, g, report, i):
     "completely-inverse x congruence pairs",
 )
 def _(ctx, g, report, i, j):
-    return _join_preserves(g, report, i, j, _canonical.max_idempotent_separating(g))
+    return _join_preserves(report, i, j, _canonical.max_idempotent_separating(g))
 
 
 @_check(
@@ -1603,14 +1591,14 @@ def _(ctx, g, report, i):
         if report.leq(i, k)
     ]
     if _least_of(report, above) != j:
-        return _bad(g, "join is not the least semilattice congruence above")
+        return "join is not the least semilattice congruence above"
     sharing = [
         k
         for k in range(len(report.congruences))
         if report.join(k, report.index_of(mu.rel)) == j
     ]
     if _greatest_of(report, sharing) != j:
-        return _bad(g, "join is not the largest element of its fiber")
+        return "join is not the largest element of its fiber"
     return None
 
 
@@ -1635,7 +1623,7 @@ def _(ctx, g):
         report.index_of(tau.rel) in unitary,
     )
     if len(set(conditions)) != 1:
-        return _bad(g, f"battery splits: {conditions}")
+        return f"battery splits: {conditions}"
     return None
 
 
@@ -1649,7 +1637,7 @@ def _(ctx, g):
     tau = _canonical.max_idempotent_pure(g)
     both = _magma._is_e_unitary(g.table) and tau.rel == EquivRelation.identity(g.order)
     if both != _magma.is_ag_group(g):
-        return _bad(g, "characterization fails")
+        return "characterization fails"
     return None
 
 
@@ -1665,7 +1653,7 @@ def _(ctx, g):
     for a in g.elements:
         key = (tau.rel.block_of[a], g.mul(a, inv[a]))
         if key in seen:
-            return _bad(g, f"{g.names[seen[key]]} and {g.names[a]} collide")
+            return f"{g.names[seen[key]]} and {g.names[a]} collide"
         seen[key] = a
     return None
 

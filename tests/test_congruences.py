@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -156,6 +157,29 @@ def test_from_pairs_rejects_elements_outside_the_carrier(element):
         EquivRelation.from_pairs(4, [(element, 0)])
     with pytest.raises(AlgebraError, match=f"element {element} out of range"):
         congruence_generated_by(inverse_monoid4(), [(0, element)])
+
+
+def test_from_blocks_names_each_block_by_its_least_member():
+    rel = EquivRelation.from_blocks(4, [(3, 1), [2, 0]])
+    assert rel.block_of == (0, 1, 0, 1)
+    assert rel == EquivRelation.from_pairs(4, [(1, 3), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([[0, 1], [], [2]], "empty block"),
+        ([[0, 1], [1, 2]], "element 1 repeated or out of range"),
+        ([[-1], [0, 1, 2]], "element -1 repeated or out of range"),
+        ([[0, 1, 2, 3]], "element 3 repeated or out of range"),
+        ([["a"], [1, 2]], "element a repeated or out of range"),
+        ([[0, 1.0], [2]], "element 1.0 repeated or out of range"),
+        ([[0, 2]], "blocks do not cover the carrier"),
+    ],
+)
+def test_from_blocks_rejects_malformed_blocks(blocks, message):
+    with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+        EquivRelation.from_blocks(3, blocks)
 
 
 @given(relations())

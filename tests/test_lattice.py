@@ -129,7 +129,10 @@ def test_sublattice_check_rejects_non_sublattices(f1_report):
         is_modular_sublattice(f1_report, [1, 2])  # join 4 missing
 
 
-@pytest.mark.parametrize("subset, bad", [([-1, 0], -1), ([0, 4, 9], 9)])
+@pytest.mark.parametrize(
+    "subset, bad",
+    [([-1, 0], -1), ([0, 4, 9], 9), ([0, 1.0], 1.0), (["a", 0], "a")],
+)
 @pytest.mark.parametrize(
     "helper", [is_modular_sublattice, satisfies_modular_law, commuting_check]
 )
@@ -178,7 +181,7 @@ def test_kernel_classes(f1_report):
     assert kernel_class(f1_report, 3) == (3, 4)
 
 
-@pytest.mark.parametrize("index", [-1, 5])
+@pytest.mark.parametrize("index", [-1, 5, "a", 1.0])
 @pytest.mark.parametrize("helper", [trace_class, kernel_class])
 def test_class_helpers_reject_indices_outside_the_lattice(f1_report, helper, index):
     with pytest.raises(AlgebraError, match=f"^index {index} names no congruence"):

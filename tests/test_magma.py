@@ -378,10 +378,13 @@ def test_subgroupoid_requires_closure(f1):
         subgroupoid(f1, [0, 1])
 
 
-@pytest.mark.parametrize("outside", [-1, 4])
+@pytest.mark.parametrize("outside", [-1, 4, "a", 1.0])
 def test_subgroupoid_rejects_elements_outside_the_carrier(f1, outside):
-    with pytest.raises(AlgebraError, match=f"^element {outside} out of range"):
-        subgroupoid(f1, [outside])
+    # beside an element, a non-integer must not escape as a TypeError
+    # from sorting the subset
+    for subset in ([outside], [outside, 1]):
+        with pytest.raises(AlgebraError, match=f"^element {outside} out of range"):
+            subgroupoid(f1, subset)
 
 
 def test_idempotent_semilattice(f1):

@@ -69,6 +69,11 @@ def test_structure_validation_catches_bad_maps():
         StrongSemilattice(s.semilattice, s.components, s.maps[:2])
     with pytest.raises(InvalidStructure):
         StrongSemilattice(s.semilattice, s.components[:1], s.maps)
+    # an image that is no integer element of the target component
+    for image in ("a", 1.0):
+        maps = s.maps[:2] + ((1, 1, (image, 1)),)
+        with pytest.raises(InvalidStructure, match="wrong shape"):
+            StrongSemilattice(s.semilattice, s.components, maps)
     # right shape, but the cross map is not operation-preserving
     broken = ((0, 0, (0, 1)), (0, 1, (1, 0)), (1, 1, (0, 1)))
     swapped = StrongSemilattice(s.semilattice, s.components, broken)

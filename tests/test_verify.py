@@ -11,7 +11,7 @@ import pytest
 from aggroupoids import canonical, congruences, magma, verify
 from aggroupoids.congruences import Congruence, EquivRelation, is_congruence
 from aggroupoids.errors import AlgebraError, BoundExceeded
-from aggroupoids.magma import parse_mag
+from aggroupoids.magma import format_mag, parse_mag
 
 
 def test_registry_integrity():
@@ -89,6 +89,29 @@ def test_only_the_constructing_modules_trust_a_congruence():
     }
     assert callers
     assert callers <= {"congruences.py", "lattice.py", "canonical.py"}
+
+
+def test_only_the_runner_formats_a_counterexample():
+    # a check body returns its finding alone; _each attaches the table,
+    # so no body can pair a finding with the wrong carrier
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    imports, sites = 0, []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.alias) and node.name == "format_mag":
+                imports += 1
+            elif (isinstance(node, ast.Name) and node.id == "format_mag") or (
+                isinstance(node, ast.Attribute) and node.attr == "format_mag"
+            ):
+                sites.append(getattr(stmt, "name", type(stmt).__name__))
+    assert imports == 1
+    assert sites == ["_each"]
+    assert not [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.FunctionDef) and node.name == "_bad")
+        or (isinstance(node, ast.Name) and node.id == "_bad")
+    ]
 
 
 def test_kept_facts_are_stored_only_by_keeps():
@@ -218,7 +241,14 @@ def test_a_wrong_least_idempotent_is_detected(monkeypatch, check_id, detail):
     monkeypatch.setattr(canonical, "_least_idempotent", lambda g, ids: max(ids))
     (result,) = verify.run_all(bound=3, only=check_id)
     assert not result.passed
-    assert detail in result.detail
+    _assert_finding_then_table(result.detail, detail)
+
+
+def _assert_finding_then_table(detail, finding):
+    """The detail is the finding on one line, then exactly one table."""
+    first, rest = detail.split("\n", 1)
+    assert finding in first
+    assert format_mag(parse_mag(rest)).rstrip() == rest
 
 
 def _identity_congruence(g):
@@ -315,7 +345,7 @@ def test_a_wrong_operator_fails_the_check_that_reads_it(
     monkeypatch.setattr(module, name, mutant)
     (result,) = verify.run_all(bound=3, only=check_id)
     assert not result.passed
-    assert detail in result.detail
+    _assert_finding_then_table(result.detail, detail)
 
 
 def test_mutation_does_not_leak_between_runs():
