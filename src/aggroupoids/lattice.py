@@ -76,7 +76,6 @@ __all__ = [
     "iter_partitions",
     "all_congruences",
     "is_modular_sublattice",
-    "satisfies_modular_law",
     "commuting_check",
     "trace_homomorphism",
     "trace_class",
@@ -345,39 +344,33 @@ def _require_sublattice(report: LatticeReport, subset: Sequence[int]) -> tuple[i
 
 
 def is_modular_sublattice(report: LatticeReport, subset: Sequence[int]):
-    """(True, None) when no pentagon embeds in the subset, else
-    (False, witness) with witness = (bottom, low, side, high, top)."""
-    members = _require_sublattice(report, subset)
-    for o, a, b, c, i in itertools.permutations(members, 5):
-        if not (
-            report.leq(o, a)
-            and report.leq(a, c)
-            and report.leq(c, i)
-            and report.leq(o, b)
-            and report.leq(b, i)
-        ):
-            continue
-        if (
-            report.meet(a, b) == o
-            and report.meet(c, b) == o
-            and report.join(a, b) == i
-            and report.join(c, b) == i
-        ):
-            return False, (o, a, b, c, i)
-    return True, None
+    """(True, None) when the subset satisfies the modular law, that
+    x <= z implies join(x, meet(y, z)) == meet(join(x, y), z); else
+    (False, witness) with witness = (bottom, low, side, high, top).
 
-
-def satisfies_modular_law(report: LatticeReport, subset: Sequence[int]) -> bool:
-    """x <= z implies join(x, meet(y, z)) = meet(join(x, y), z)."""
+    By Dedekind's theorem a lattice is modular exactly when no pentagon
+    embeds in it, and the first failure of the law names one: with
+    m = meet(y, z), a = join(x, m), c = meet(join(x, y), z) and
+    t = join(x, y), the chain m <= a <= c <= z gives meet(y, a) =
+    meet(y, c) = m, and x <= a <= c <= t gives join(y, a) = join(y, c)
+    = t. As a != c, (m, a, y, c, t) is a pentagon.
+    """
     members = _require_sublattice(report, subset)
+    leq, meet, join = report.leq, report.meet, report.join
     for x in members:
         for z in members:
-            if not report.leq(x, z):
+            if x == z or not leq(x, z):
                 continue
             for y in members:
-                if report.join(x, report.meet(y, z)) != report.meet(report.join(x, y), z):
-                    return False
-    return True
+                # the law holds here: y <= z makes both sides join(x, y),
+                # x <= y makes both meet(y, z)
+                if leq(y, z) or leq(x, y):
+                    continue
+                m, t = meet(y, z), join(x, y)
+                a, c = join(x, m), meet(t, z)
+                if a != c:
+                    return False, (m, a, y, c, t)
+    return True, None
 
 
 def _ordered_pairs(rel: EquivRelation) -> frozenset:
@@ -413,29 +406,28 @@ class TraceHomomorphism:
     """The restriction map from the congruence lattice onto the lattice
     of the idempotent semilattice, with a section witnessing ontoness."""
 
-    source: LatticeReport
     target: LatticeReport
     image: tuple[int, ...]
     section: tuple[int, ...]
 
 
-def trace_homomorphism(g: Groupoid) -> TraceHomomorphism:
-    """Raises NotCompletelyInverse on a table that is not completely
-    inverse."""
+def trace_homomorphism(report: LatticeReport) -> TraceHomomorphism:
+    """The trace map on the lattice of report. Raises
+    NotCompletelyInverse on a table that is not completely inverse."""
+    g = report.groupoid
     require_completely_inverse(g)
-    source = all_congruences(g)
     ids = idempotents(g)
     target = all_congruences(idempotent_semilattice(g))
     image = tuple(
-        target.index_of(trace(c)) for c in source.congruences
+        target.index_of(trace(c)) for c in report.congruences
     )
     # onto: rebuild a congruence from each idempotent relation, relating
     # a and b when the classes of a*a^-1 and b*b^-1 match under it
     section = tuple(
-        source.index_of(_grouped_by_idempotent(g, dict(zip(ids, tau.rel.block_of))))
+        report.index_of(_grouped_by_idempotent(g, dict(zip(ids, tau.rel.block_of))))
         for tau in target.congruences
     )
-    return TraceHomomorphism(source, target, image, section)
+    return TraceHomomorphism(target, image, section)
 
 
 def _congruence_at(report: LatticeReport, index: int) -> Congruence:

@@ -159,9 +159,13 @@ class Groupoid(_Keeps):
             raise AlgebraError("duplicate element names")
         for name in self.names:
             # labels must survive the table file format: one token, no comments
-            if not name or any(ch.isspace() for ch in name) or "#" in name:
+            if not isinstance(name, str) or name.split() != [name] or "#" in name:
                 raise AlgebraError(f"bad element name {name!r}")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        # a table that is no tuple or list counts as empty
+        rows = self.table if isinstance(self.table, (tuple, list)) else ()
+        if len(rows) != n or any(
+            not isinstance(row, (tuple, list)) or len(row) != n for row in rows
+        ):
             raise AlgebraError("table shape does not match the carrier size")
         for row in self.table:
             for value in row:

@@ -233,7 +233,7 @@ def test_criterion_5_lattice_laws(capsys, ci_reports):
             if not (modular and commuting_check(report, class_members)):
                 problems.append(f"a trace class fails on order {g.order}")
 
-        hom = trace_homomorphism(g)
+        hom = trace_homomorphism(report)
         target = hom.target
         if set(hom.image) != set(range(len(target.congruences))):
             problems.append(f"trace map not onto on order {g.order}")

@@ -17,6 +17,11 @@ meet and join are also checked on the order-7 chain (64 congruences).
 The pruned partition scan is checked against the unpruned filter, and
 the markers against the reference, on the `ag` classes of order 1-4,
 every `demos/data` table, and the order-7 chain and null table.
+
+`is_modular_sublattice` scans the modular law and builds a pentagon from
+its first failure. Its verdict is checked against a walk over every
+five-tuple of congruences on the whole lattice of each `ag` class of
+order 1-4, and every witness it returns against the pentagon relations.
 """
 
 import itertools
@@ -29,6 +34,7 @@ from aggroupoids import (
     all_congruences,
     classify,
     enumerate_groupoids,
+    is_modular_sublattice,
     parse_mag,
 )
 from aggroupoids.canonical import kernel_max, trace_max
@@ -257,3 +263,59 @@ def test_markers_match_the_classify_reference(universe):
         assert report.markers == tuple(
             _reference_markers(c, completely_inverse) for c in report.congruences
         )
+
+
+def _is_pentagon(report, witness):
+    """The ten relations of a pentagon (bottom, low, side, high, top):
+    the five edges of its diagram, low strictly below high, and the side
+    meeting and joining both."""
+    o, a, b, c, i = witness
+    return (
+        report.leq(o, a)
+        and report.leq(a, c)
+        and report.leq(c, i)
+        and report.leq(o, b)
+        and report.leq(b, i)
+        and a != c
+        and report.meet(a, b) == o
+        and report.meet(c, b) == o
+        and report.join(a, b) == i
+        and report.join(c, b) == i
+    )
+
+
+def _reference_pentagon(report, members):
+    """The first ordered five-tuple of distinct members that forms a
+    pentagon, else None."""
+    return next(
+        (t for t in itertools.permutations(members, 5) if _is_pentagon(report, t)),
+        None,
+    )
+
+
+def test_modularity_matches_the_pentagon_walk():
+    tables = [g for n in range(1, 5) for g in _universe(f"ag-{n}")]
+    assert len(tables) == 355
+    non_modular = 0
+    for g in tables:
+        report = all_congruences(g)
+        whole = range(len(report.congruences))
+        modular, witness = is_modular_sublattice(report, whole)
+        assert modular == (_reference_pentagon(report, whole) is None)
+        if modular:
+            assert witness is None
+        else:
+            non_modular += 1
+            assert _is_pentagon(report, witness)
+    assert non_modular == 5
+
+
+def test_modularity_of_two_whole_order_six_lattices():
+    chain = all_congruences(chain_semilattice(6))
+    assert len(chain.congruences) == 32
+    assert is_modular_sublattice(chain, range(32)) == (True, None)
+    names = tuple(f"x{i}" for i in range(6))
+    null = all_congruences(Groupoid.from_function(names, lambda a, b: 0))
+    assert len(null.congruences) == 203
+    modular, witness = is_modular_sublattice(null, range(203))
+    assert not modular and _is_pentagon(null, witness)

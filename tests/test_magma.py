@@ -74,6 +74,17 @@ def test_groupoid_rejects_ragged_table():
         Groupoid(("x", "y"), ((0,), (0, 1)))
 
 
+@pytest.mark.parametrize("table", [(5,), 5], ids=["row", "table"])
+def test_groupoid_rejects_a_table_or_row_that_is_no_sequence(table):
+    with pytest.raises(AlgebraError, match="^table shape does not match the carrier size$"):
+        Groupoid(("a",), table)
+
+
+def test_groupoid_rejects_a_name_that_is_no_string():
+    with pytest.raises(AlgebraError, match="^bad element name 1$"):
+        Groupoid((1, 2), ((0, 1), (1, 0)))
+
+
 def test_groupoid_rejects_out_of_range_entry():
     with pytest.raises(AlgebraError):
         Groupoid(("x", "y"), ((0, 2), (0, 1)))
